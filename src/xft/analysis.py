@@ -8,12 +8,15 @@ import numpy as np
 
 from xft import tensor as tn
 from xft.model import (
+    EVAL_PACK_TOKENS,
     ModelConfig,
     Transformer,
     attention_forward,
     build_dense_model,
     build_ffn,
     ffn_forward,
+    pack_sequences,
+    token_chunks,
 )
 from xft.moe import MoEConfig, MoELayer
 from xft.tensor import Tensor
@@ -96,13 +99,13 @@ def expert_load_histogram(model: Transformer, sequences, corpus_label: str = "co
     counts = np.zeros((len(model.blocks), cfg.n_experts - 1), dtype=np.int64)
     n_tokens = 0
     with tn.no_grad():
-        for seq in sequences:
-            _, decisions = model.hidden(seq, collect_decisions=True)
-            n_tokens += len(seq)
-            for layer, layer_decisions in enumerate(decisions):
-                for d in layer_decisions:
-                    for e in d.selected[1:]:
-                        counts[layer, e - 1] += 1
+        for chunk in token_chunks(sequences, EVAL_PACK_TOKENS):
+            tokens, bounds = pack_sequences(chunk)
+            _, routing = model.hidden(tokens, bounds)
+            n_tokens += tokens.size
+            for layer, record in enumerate(routing):
+                counts[layer] += np.bincount(record.selected[:, 1:].ravel() - 1,
+                                             minlength=cfg.n_experts - 1)
     return ExpertLoadReport(corpus_label, n_tokens, cfg.n_experts, cfg.top_k, counts)
 
 

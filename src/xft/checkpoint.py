@@ -23,8 +23,16 @@ import tempfile
 
 import numpy as np
 
-from xft.model import ModelConfig, Transformer, build_dense_model
-from xft.moe import MoEConfig, upcycle_dense_to_moe
+from xft.model import (
+    AttentionParams,
+    Block,
+    FFNWeights,
+    LayerNormParams,
+    ModelConfig,
+    Transformer,
+)
+from xft.moe import MoEConfig, MoELayer
+from xft.tensor import Tensor
 
 MAGIC = b"XFTC"
 VERSION = 1
@@ -77,80 +85,109 @@ def save_checkpoint(model: Transformer, path: str, meta: dict | None = None) -> 
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
+    """Sequential reads from an open checkpoint file, bounds-checked against
+    its size before any bytes are read."""
+
+    def __init__(self, f, path: str):
+        self.f = f
         self.pos = 0
+        self.size = os.fstat(f.fileno()).st_size
         self.path = path
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
+        if self.pos + n > self.size:
             raise CheckpointError(
                 f"{self.path!r}: truncated while reading {what} "
-                f"(need {n} bytes at offset {self.pos}, file has {len(self.buf)})")
-        out = self.buf[self.pos:self.pos + n]
+                f"(need {n} bytes at offset {self.pos}, file has {self.size})")
         self.pos += n
-        return out
+        return self.f.read(n)
 
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
 
-def read_checkpoint_config(path: str) -> dict:
-    """Parse only the embedded JSON config blob."""
+def _open(path: str):
     try:
-        with open(path, "rb") as f:
-            head = f.read()
+        return open(path, "rb")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {e}") from e
-    r = _Reader(head, path)
+
+
+def _read_config(r: _Reader) -> dict:
+    """Magic, version and the JSON config blob at the head of the file."""
     if r.take(4, "magic") != MAGIC:
-        raise CheckpointError(f"{path!r}: bad magic, not a checkpoint file")
+        raise CheckpointError(f"{r.path!r}: bad magic, not a checkpoint file")
     version = struct.unpack("<I", r.take(4, "version"))[0]
     if version != VERSION:
-        raise CheckpointError(f"{path!r}: unsupported format version {version}")
+        raise CheckpointError(f"{r.path!r}: unsupported format version {version}")
     blob = r.take(r.u64("config length"), "config JSON")
     try:
         return json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path!r}: malformed config blob: {e}") from e
+        raise CheckpointError(f"{r.path!r}: malformed config blob: {e}") from e
+
+
+def read_checkpoint_config(path: str) -> dict:
+    """Parse only the embedded JSON config blob; the tensors are not read."""
+    with _open(path) as f:
+        return _read_config(_Reader(f, path))
+
+
+def _assemble(cfg: ModelConfig, moe_cfg: MoEConfig | None, tensor) -> Transformer:
+    """The model whose parameter named ``name`` is ``tensor(name, shape)``;
+    names follow ``Transformer.named_parameters``."""
+    d, f = cfg.d_model, cfg.d_ff
+
+    def ln(prefix):
+        return LayerNormParams(tensor(f"{prefix}.gain", (d,)), tensor(f"{prefix}.bias", (d,)))
+
+    def ffn(prefix):
+        return FFNWeights(tensor(f"{prefix}.w_up", (d, f)), tensor(f"{prefix}.b_up", (f,)),
+                          tensor(f"{prefix}.w_down", (f, d)), tensor(f"{prefix}.b_down", (d,)))
+
+    blocks = []
+    for i in range(cfg.n_layers):
+        prefix = f"layers.{i}"
+        attn = AttentionParams(**{
+            key: tensor(f"{prefix}.attn.{key}", (d, d) if key[0] == "w" else (d,))
+            for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")})
+        if moe_cfg is None:
+            slot = ffn(f"{prefix}.ffn")
+        else:
+            experts = [ffn(f"{prefix}.moe.experts.{e}") for e in range(moe_cfg.n_experts)]
+            slot = MoELayer(experts, tensor(f"{prefix}.moe.centroids", (moe_cfg.n_experts, d)),
+                            moe_cfg)
+        blocks.append(Block(ln(f"{prefix}.ln1"), attn, slot))
+    return Transformer(cfg, tensor("tok_emb", (cfg.vocab_size, d)),
+                       tensor("pos_emb", (cfg.max_seq_len, d)), blocks, ln("ln_f"),
+                       tensor("unembed", (d, cfg.vocab_size)))
 
 
 def load_checkpoint(path: str) -> Transformer:
     """Reconstruct a dense or MoE model, validating structure throughout."""
-    try:
-        with open(path, "rb") as f:
-            buf = f.read()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {e}") from e
+    with _open(path) as f:
+        r = _Reader(f, path)
+        config = _read_config(r)
+        try:
+            model_cfg = ModelConfig.from_dict(config["model"])
+            moe_cfg = MoEConfig.from_dict(config["moe"]) if config.get("moe") else None
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path!r}: malformed config blob: {e}") from e
 
-    r = _Reader(buf, path)
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointError(f"{path!r}: bad magic, not a checkpoint file")
-    version = struct.unpack("<I", r.take(4, "version"))[0]
-    if version != VERSION:
-        raise CheckpointError(f"{path!r}: unsupported format version {version}")
-    blob = r.take(r.u64("config length"), "config JSON")
-    try:
-        config = json.loads(blob.decode("utf-8"))
-        model_cfg = ModelConfig.from_dict(config["model"])
-        moe_cfg = MoEConfig.from_dict(config["moe"]) if config.get("moe") else None
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path!r}: malformed config blob: {e}") from e
-
-    n_tensors = r.u64("tensor count")
-    entries: dict[str, tuple[tuple[int, ...], int]] = {}
-    for i in range(n_tensors):
-        name = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
-        dtype_code, rank = struct.unpack("<BB", r.take(2, f"{name} dtype/rank"))
-        if dtype_code != DTYPE_FLOAT32:
-            raise CheckpointError(f"{path!r}: tensor {name!r} has unknown dtype code {dtype_code}")
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"{name} dims"))
-        offset = r.u64(f"{name} offset")
-        if name in entries:
-            raise CheckpointError(f"{path!r}: tensor {name!r} appears twice")
-        entries[name] = (tuple(int(d) for d in dims), offset)
-    data_len = r.u64("data length")
-    data = r.take(data_len, "data section")
+        n_tensors = r.u64("tensor count")
+        entries: dict[str, tuple[tuple[int, ...], int]] = {}
+        for i in range(n_tensors):
+            name = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
+            dtype_code, rank = struct.unpack("<BB", r.take(2, f"{name} dtype/rank"))
+            if dtype_code != DTYPE_FLOAT32:
+                raise CheckpointError(f"{path!r}: tensor {name!r} has unknown dtype code {dtype_code}")
+            dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"{name} dims"))
+            offset = r.u64(f"{name} offset")
+            if name in entries:
+                raise CheckpointError(f"{path!r}: tensor {name!r} appears twice")
+            entries[name] = (tuple(int(d) for d in dims), offset)
+        data_len = r.u64("data length")
+        data = r.take(data_len, "data section")
 
     spans = []
     for name, (dims, offset) in entries.items():
@@ -165,22 +202,21 @@ def load_checkpoint(path: str) -> Transformer:
         if start_b < end_a:
             raise CheckpointError(f"{path!r}: tensors {name_a!r} and {name_b!r} overlap")
 
-    model = build_dense_model(model_cfg, seed=0)
-    if moe_cfg is not None:
-        model = upcycle_dense_to_moe(model, moe_cfg, seed=0)
-    params = model.named_parameters()
-    missing = sorted(set(params) - set(entries))
-    extra = sorted(set(entries) - set(params))
-    if missing or extra:
-        raise CheckpointError(
-            f"{path!r}: tensor names do not match the declared architecture "
-            f"(missing {missing[:3]}, unexpected {extra[:3]})")
-    for name, p in params.items():
-        dims, offset = entries[name]
-        if dims != p.data.shape:
+    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+        if name not in entries:
             raise CheckpointError(
-                f"{path!r}: tensor {name!r} has shape {dims}, expected {p.data.shape}")
+                f"{path!r}: tensor names do not match the declared architecture "
+                f"(missing {name!r})")
+        dims, offset = entries.pop(name)
+        if dims != shape:
+            raise CheckpointError(f"{path!r}: tensor {name!r} has shape {dims}, expected {shape}")
         count = int(np.prod(dims, dtype=np.int64)) if dims else 1
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        p.data = arr.reshape(dims).astype(np.float32, copy=True)
+        return Tensor(arr.reshape(dims).astype(np.float32, copy=True), requires_grad=True)
+
+    model = _assemble(model_cfg, moe_cfg, tensor)
+    if entries:
+        raise CheckpointError(
+            f"{path!r}: tensor names do not match the declared architecture "
+            f"(unexpected {sorted(entries)[:3]})")
     return model

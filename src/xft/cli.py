@@ -416,11 +416,8 @@ def _verify_checks(seed: int, ckpt: str | None):
     coeffs = init_mixing_coefficients(4, gc_cfg.n_layers, 0.6, dtype=np.float64)
     trainable = _MergedTrainable(gc_moe.copy(dtype=np.float64), coeffs)
 
-    def merged_loss():
-        trainable.on_step_begin()
-        return trainable.example_loss(tokens, mask)
-
-    err_mix = tn.finite_diff_check(merged_loss, coeffs.logits)
+    err_mix = tn.finite_diff_check(lambda: trainable.batch_loss([(tokens, mask)]),
+                                   coeffs.logits)
     ok = err_dense < 1e-3 and err_mix < 1e-3
     yield "gradient-check", ok, f"dense {err_dense:.2e}, mixing logits {err_mix:.2e}"
 

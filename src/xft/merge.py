@@ -19,7 +19,7 @@ from xft import tensor as tn
 from xft.model import FFNWeights, Transformer, model_forward_loss
 from xft.moe import MoELayer, SHARED_EXPERT
 from xft.tensor import Tensor
-from xft.train import ByteTokenizer, InstructionExample, TrainHyper, sft_train
+from xft.train import ByteTokenizer, InstructionExample, TrainHyper, pack_batch, sft_train
 
 DEFAULT_SHARED_RATE = 0.75       # 8-expert configuration
 SHARED_RATE_4_EXPERTS = 0.85     # 4-expert configuration
@@ -207,9 +207,9 @@ def ewa_step(layer: MoELayer, beta: float) -> None:
 class _MergedTrainable:
     """Merge-phase adapter: only the mixing logits are trainable.
 
-    The MoE model's own tensors are wrapped as frozen views, and the merged
-    dense weights are rebuilt from the current logits at each step, so
-    gradients reach the logits and nothing else.
+    The MoE model's own tensors are wrapped as frozen views, and every
+    ``batch_loss`` call rebuilds the merged dense weights from the current
+    logits, so gradients reach the logits and nothing else.
     """
 
     def __init__(self, model: Transformer, coeffs: MixingCoefficients,
@@ -218,7 +218,6 @@ class _MergedTrainable:
         self.activation = activation
         self._view = model.copy(share_data=True, requires_grad=False)
         self._frozen_slots: list[MoELayer] = [block.slot for block in self._view.blocks]
-        self._merged = False
 
     @property
     def max_seq_len(self) -> int:
@@ -226,9 +225,6 @@ class _MergedTrainable:
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {f"layers.{i}.mixing_logits": t for i, t in enumerate(self.coeffs.logits)}
-
-    def on_step_begin(self) -> None:
-        self._merged = False
 
     def _rebuild_merged(self) -> None:
         for i, layer in enumerate(self._frozen_slots):
@@ -241,12 +237,11 @@ class _MergedTrainable:
                     acc = term if acc is None else acc + term
                 merged[key] = acc
             self._view.blocks[i].slot = FFNWeights(**merged)
-        self._merged = True
 
-    def example_loss(self, tokens, mask) -> Tensor:
-        if not self._merged:
-            self._rebuild_merged()
-        return model_forward_loss(self._view, tokens, mask)[1]
+    def batch_loss(self, batch) -> Tensor:
+        """Task loss of the (tokens, mask) examples through the merged model."""
+        self._rebuild_merged()
+        return model_forward_loss(self._view, *pack_batch(batch))[1]
 
 
 def learn_mixing_coefficients(model: Transformer, examples: Sequence[InstructionExample],

@@ -9,7 +9,6 @@ is uniform across a model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from xft import tensor as tn
 from xft.tensor import Tensor
-
-ATTENTION_MASK_VALUE = -1e9  # additive mask; exp underflows to exactly 0 in float32
 
 
 @dataclass
@@ -90,7 +87,7 @@ class FFNWeights:
 class Block:
     ln1: LayerNormParams
     attn: AttentionParams
-    slot: object  # FFNWeights, or any object with forward(u) -> (Tensor, decisions)
+    slot: object  # FFNWeights, or any object with forward(u) -> (Tensor, routing record)
 
 
 def ffn_forward(u: Tensor, w: FFNWeights, activation: Callable[[Tensor], Tensor] = tn.gelu) -> Tensor:
@@ -98,41 +95,61 @@ def ffn_forward(u: Tensor, w: FFNWeights, activation: Callable[[Tensor], Tensor]
     return activation(u @ w.w_up + w.b_up) @ w.w_down + w.b_down
 
 
-def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
-    """[t, t] additive mask: 0 at or below the diagonal, large negative above."""
-    return np.triu(np.full((t, t), ATTENTION_MASK_VALUE, dtype=dtype), k=1)
+def _segment_bounds(bounds, n: int) -> np.ndarray:
+    """Validated segment offsets 0 = b_0 < b_1 < ... < b_S = n; one segment
+    when ``bounds`` is None."""
+    if bounds is None:
+        return np.array([0, n], dtype=np.intp)
+    b = np.asarray(bounds, dtype=np.intp)
+    if b.ndim != 1 or b.size < 2 or b[0] != 0 or b[-1] != n or (np.diff(b) <= 0).any():
+        raise ValueError(f"segment bounds must rise from 0 to {n}, got {np.asarray(bounds).tolist()}")
+    return b
 
 
-def attention_forward(u: Tensor, block: Block, cfg: ModelConfig) -> Tensor:
+def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None) -> Tensor:
     """Pre-norm multi-head causal self-attention, residual included.
 
-    Position t attends only to positions <= t; the additive mask drives
-    masked attention weights to exactly zero after the softmax, so outputs
-    at position t are bit-identical under perturbations of later tokens.
+    ``u`` holds packed segments split at ``bounds`` (one segment when None).
+    A position attends only to earlier-or-equal positions of its own segment;
+    masked attention weights are exactly zero, so outputs at position t are
+    bit-identical under perturbations of later tokens or of other segments.
     """
-    t = u.shape[0]
-    if t > cfg.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
-    d_head = cfg.d_model // cfg.n_heads
-    scale = 1.0 / math.sqrt(d_head)
-
+    bounds = _segment_bounds(bounds, u.shape[0])
+    longest = int(np.diff(bounds).max())
+    if longest > cfg.max_seq_len:
+        raise ValueError(f"sequence length {longest} exceeds max_seq_len {cfg.max_seq_len}")
     x = tn.layer_norm(u, block.ln1.gain, block.ln1.bias)
     q = x @ block.attn.wq + block.attn.bq
     k = x @ block.attn.wk + block.attn.bk
     v = x @ block.attn.wv + block.attn.bv
+    heads = tn.causal_attention(q, k, v, bounds, cfg.n_heads)
+    return u + (heads @ block.attn.wo + block.attn.bo)
 
-    mask = Tensor(causal_mask(t, dtype=u.data.dtype))
-    heads = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qh = tn.slice_cols(q, lo, hi)
-        kh = tn.slice_cols(k, lo, hi)
-        vh = tn.slice_cols(v, lo, hi)
-        scores = (qh @ kh.transpose()) * scale + mask
-        weights = tn.softmax(scores, axis=-1)
-        heads.append(weights @ vh)
-    out = tn.concat_cols(heads) @ block.attn.wo + block.attn.bo
-    return u + out
+
+# Rows per packed forward when scoring a dataset: bounds memory on large inputs.
+EVAL_PACK_TOKENS = 512
+
+
+def pack_sequences(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate 1-d sequences: (flat [sum T], bounds [B + 1])."""
+    lengths = [len(s) for s in sequences]
+    bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+    return np.concatenate([np.asarray(s) for s in sequences]), bounds
+
+
+def token_chunks(items, budget: int, length=len):
+    """Consecutive runs of ``items`` whose lengths sum to at most ``budget``
+    (a single longer item forms its own run)."""
+    chunk, total = [], 0
+    for item in items:
+        n = length(item)
+        if chunk and total + n > budget:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
+    if chunk:
+        yield chunk
 
 
 class Transformer:
@@ -151,38 +168,41 @@ class Transformer:
     def is_moe(self) -> bool:
         return not isinstance(self.blocks[0].slot, FFNWeights)
 
-    def _check_tokens(self, tokens) -> np.ndarray:
+    def _check_tokens(self, tokens, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated (token ids, positions, bounds); positions restart per segment."""
         idx = np.asarray(tokens, dtype=np.intp)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("tokens must be a nonempty 1-d sequence")
-        if idx.size > self.cfg.max_seq_len:
-            raise ValueError(f"sequence length {idx.size} exceeds max_seq_len {self.cfg.max_seq_len}")
+        bounds = _segment_bounds(bounds, idx.size)
+        lengths = np.diff(bounds)
+        if lengths.max() > self.cfg.max_seq_len:
+            raise ValueError(
+                f"sequence length {lengths.max()} exceeds max_seq_len {self.cfg.max_seq_len}")
         if idx.min() < 0 or idx.max() >= self.cfg.vocab_size:
             raise ValueError(f"token ids must lie in [0, {self.cfg.vocab_size})")
-        return idx
+        positions = np.arange(idx.size) - np.repeat(bounds[:-1], lengths)
+        return idx, positions, bounds
 
-    def hidden(self, tokens, collect_decisions: bool = False):
-        """Final hidden states [T, d_model] and per-layer router decisions."""
-        idx = self._check_tokens(tokens)
-        x = tn.gather_rows(self.tok_emb, idx) + tn.gather_rows(self.pos_emb, np.arange(idx.size))
-        decisions = []
+    def hidden(self, tokens, bounds=None):
+        """Final hidden states [T, d_model] and per-layer routing records
+        (None for dense layers). ``tokens`` may pack several sequences split
+        at ``bounds``; each is processed as if it were alone."""
+        idx, positions, bounds = self._check_tokens(tokens, bounds)
+        x = tn.gather_rows(self.tok_emb, idx) + tn.gather_rows(self.pos_emb, positions)
+        routing = []
         for block in self.blocks:
-            u = attention_forward(x, block, self.cfg)
+            u = attention_forward(x, block, self.cfg, bounds)
             if isinstance(block.slot, FFNWeights):
                 x = u + ffn_forward(u, block.slot)
-                decisions.append(None)
+                routing.append(None)
             else:
-                x, layer_decisions = block.slot.forward(u)
-                decisions.append(layer_decisions if collect_decisions else None)
-        return x, decisions
+                x, record = block.slot.forward(u)
+                routing.append(record)
+        return x, routing
 
-    def logits(self, tokens) -> Tensor:
-        h, _ = self.hidden(tokens)
+    def logits(self, tokens, bounds=None) -> Tensor:
+        h, _ = self.hidden(tokens, bounds)
         return tn.layer_norm(h, self.ln_f.gain, self.ln_f.bias) @ self.unembed
-
-    def logits_and_decisions(self, tokens):
-        h, decisions = self.hidden(tokens, collect_decisions=True)
-        return tn.layer_norm(h, self.ln_f.gain, self.ln_f.bias) @ self.unembed, decisions
 
     def named_parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb}
@@ -279,29 +299,43 @@ def build_dense_model(cfg: ModelConfig, seed: int = 0, init_std: float = 0.08) -
     )
 
 
-def model_forward_loss(model: Transformer, tokens, loss_mask) -> tuple[Tensor, Tensor]:
-    """Next-token cross-entropy averaged over positions whose mask is 1.
+def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,
+                       per_token: bool = False) -> tuple[Tensor, Tensor]:
+    """Masked next-token cross-entropy over one or more packed sequences.
 
     ``loss_mask`` aligns with ``tokens``: mask[i] = 1 marks token i as a
-    prediction target (scored from position i-1).
+    prediction target (scored from position i-1 of the same sequence).
+    ``bounds`` splits the packed tokens into sequences (one when None). The
+    loss is the mean over sequences of each sequence's masked mean, or with
+    ``per_token`` the mean over all masked targets. Returns the packed logits
+    [sum (T_i - 1), vocab] and the scalar loss.
     """
-    tokens = list(tokens)
+    tokens = np.asarray(tokens, dtype=np.intp)
     mask = np.asarray(loss_mask, dtype=np.float64)
-    if mask.shape != (len(tokens),):
-        raise ValueError(f"loss_mask length {mask.size} != token length {len(tokens)}")
-    if len(tokens) < 2:
+    if mask.shape != tokens.shape:
+        raise ValueError(f"loss_mask length {mask.size} != token length {tokens.size}")
+    bounds = _segment_bounds(bounds, tokens.size)
+    if (np.diff(bounds) < 2).any():
         raise ValueError("need at least two tokens for next-token loss")
-    target_mask = mask[1:]
-    n_targets = float(target_mask.sum())
-    if n_targets == 0:
+    # inputs drop each sequence's last token, targets its first
+    is_input = np.ones(tokens.size, dtype=bool)
+    is_input[bounds[1:] - 1] = False
+    is_target = np.ones(tokens.size, dtype=bool)
+    is_target[bounds[:-1]] = False
+    target_mask = mask[is_target]
+    in_bounds = bounds - np.arange(bounds.size)
+    n_targets = np.add.reduceat(target_mask, in_bounds[:-1])
+    if (n_targets == 0).any():
         raise ValueError("loss_mask selects no target positions")
+    if per_token:
+        weights = target_mask / target_mask.sum()
+    else:
+        weights = target_mask / np.repeat(n_targets * n_targets.size, np.diff(in_bounds))
 
-    logits = model.logits(tokens[:-1])
-    targets = np.asarray(tokens[1:], dtype=np.intp)
+    logits = model.logits(tokens[is_input], in_bounds)
     logp = tn.log_softmax(logits, axis=-1)
-    picked = tn.take_along_rows(logp, targets[:, None])
-    mask_col = Tensor(target_mask[:, None].astype(logits.data.dtype))
-    loss = (picked * mask_col).sum() * (-1.0 / n_targets)
+    picked = tn.take_along_rows(logp, tokens[is_target][:, None])
+    loss = -(picked * Tensor(weights[:, None].astype(logits.data.dtype))).sum()
     return logits, loss
 
 

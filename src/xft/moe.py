@@ -77,6 +77,34 @@ class RouterDecision:
     gates: np.ndarray
 
 
+class RoutingRecord:
+    """One ``MoELayer.forward`` call's routing, as arrays over its T tokens.
+
+    ``selected`` [T, K] and ``gates`` [T, K] list the shared expert first,
+    then the normal experts in descending affinity; ``scores`` [T, N-1] holds
+    the normal experts' affinities. Indexing, ``len`` and iteration give the
+    per-token ``RouterDecision`` view, built only when asked for.
+    """
+
+    __slots__ = ("selected", "gates", "scores")
+
+    def __init__(self, selected: np.ndarray, gates: np.ndarray, scores: np.ndarray):
+        self.selected = selected
+        self.gates = gates
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return self.selected.shape[0]
+
+    def __getitem__(self, i: int) -> RouterDecision:
+        scores = self.scores[i]
+        return RouterDecision(scores=scores.copy(), s_max=float(scores.max()),
+                              selected=self.selected[i].tolist(), gates=self.gates[i].copy())
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def _ranked_indices(scores_row: np.ndarray) -> np.ndarray:
     """Descending-score order; ties resolve toward the lower index."""
     return np.argsort(-scores_row, kind="stable")
@@ -111,10 +139,12 @@ class MoELayer:
 
     def forward(self, u: Tensor, activation: Callable = tn.gelu,
                 router_override: tuple[list[int], np.ndarray] | None = None):
-        """Weighted sum of the selected experts' outputs plus the residual u.
+        """Weighted sum of the selected experts' outputs plus the residual u,
+        and the ``RoutingRecord`` of the call.
 
         ``router_override`` bypasses the router with fixed (selected experts,
-        gates); gates may be [K] (constant across tokens) or [T, K].
+        gates); gates may be [K] (constant across tokens) or [T, K]. That path
+        records no routing and returns an empty list in its place.
         """
         t = u.shape[0]
         if router_override is not None:
@@ -128,13 +158,13 @@ class MoELayer:
                 h = h + ffn_forward(u, self.experts[e], activation) * col
             return h, []
 
-        n, k = self.cfg.n_experts, self.cfg.top_k
+        r = self.cfg.top_k - 1                    # normal-expert slots per token
         scores = self.normal_affinities(u)        # [T, N-1]
         sd = scores.data
-        order = np.argsort(-sd, axis=1, kind="stable")
-        sel = order[:, : k - 1]                   # [T, K-1] normal-expert slots (expert - 1)
+        ranked = np.argsort(-sd, axis=1, kind="stable")
+        sel = ranked[:, :r]                       # [T, K-1] normal-expert slots (expert - 1)
 
-        s_max = tn.take_along_rows(scores, order[:, :1])       # [T, 1]
+        s_max = tn.take_along_rows(scores, ranked[:, :1])      # [T, 1]
         shared_gate = 1.0 - s_max                               # [T, 1]
         picked = tn.take_along_rows(scores, sel)                # [T, K-1]
         if self.cfg.normalization_enabled:
@@ -143,27 +173,27 @@ class MoELayer:
             normal_gates = picked  # raw affinities: gate sum is not constrained
 
         h = u + ffn_forward(u, self.experts[SHARED_EXPERT], activation) * shared_gate
-        gates_flat = normal_gates.reshape((t * (k - 1), 1))
-        for e in range(1, n):
-            rows, slots = np.nonzero(sel == e - 1)
-            if rows.size == 0:
-                continue
-            gate_col = tn.gather_rows(gates_flat, rows * (k - 1) + slots)  # [M, 1]
-            expert_out = ffn_forward(tn.gather_rows(u, rows), self.experts[e], activation)
-            h = h + tn.scatter_rows(expert_out * gate_col, rows, t)
 
-        shared_col = shared_gate.data
-        normal_cols = normal_gates.data
-        decisions = [
-            RouterDecision(
-                scores=sd[i].copy(),
-                s_max=float(sd[i, order[i, 0]]),
-                selected=[SHARED_EXPERT] + [int(s) + 1 for s in sel[i]],
-                gates=np.concatenate(([shared_col[i, 0]], normal_cols[i])),
-            )
-            for i in range(t)
-        ]
-        return h, decisions
+        # Dropless grouped dispatch: sort the T*(K-1) (token, slot) pairs by
+        # expert, run each expert once on its contiguous block of rows, and
+        # sum each token's gated outputs back in place.
+        slots = sel.reshape(-1)
+        order = np.argsort(slots, kind="stable")
+        counts = np.bincount(slots, minlength=self.cfg.n_experts - 1)
+        ends = np.cumsum(counts)
+        rows = tn.dispatch_rows(u, order, r)
+        gates = tn.dispatch_rows(normal_gates.reshape((t * r, 1)), order, 1)
+        outputs = [ffn_forward(tn.slice_rows(rows, lo, hi), self.experts[e + 1], activation)
+                   for e, (lo, hi) in enumerate(zip(ends - counts, ends))
+                   if hi > lo]
+        h = h + tn.combine_rows(tn.concat_rows(outputs) * gates, order, r)
+
+        record = RoutingRecord(
+            selected=np.concatenate((np.full((t, 1), SHARED_EXPERT), sel + 1), axis=1),
+            gates=np.concatenate((shared_gate.data, normal_gates.data), axis=1),
+            scores=sd,
+        )
+        return h, record
 
 
 def moe_layer_forward(u: Tensor, layer: MoELayer, activation: Callable = tn.gelu,

@@ -23,6 +23,8 @@ _GRAD_ENABLED = True
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
+ATTENTION_MASK_VALUE = -1e9  # additive mask; exp underflows to exactly 0 in float32
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -335,39 +337,63 @@ def take_along_rows(a: Tensor, indices) -> Tensor:
     return _make(np.take_along_axis(a.data, idx, axis=1), (a,), bw)
 
 
-def scatter_rows(values: Tensor, indices, n_rows: int) -> Tensor:
-    """Zeros of shape [n_rows, d] with values[i] added at row indices[i]."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if values.ndim != 2 or idx.ndim != 1 or idx.shape[0] != values.shape[0]:
-        raise ValueError(f"scatter_rows shape mismatch: {values.shape} with indices {idx.shape}")
-    out = np.zeros((n_rows, values.shape[1]), dtype=values.data.dtype)
-    np.add.at(out, idx, values.data)
-    return _make(out, (values,), lambda g: (g[idx],))
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a matrix."""
     if a.ndim != 2:
-        raise ValueError(f"slice_cols expects a matrix, got shape {a.shape}")
+        raise ValueError(f"slice_rows expects a matrix, got shape {a.shape}")
 
     def bw(g):
         ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
+        ga[start:stop] = g
         return (ga,)
 
-    return _make(a.data[:, start:stop].copy(), (a,), bw)
+    return _make(a.data[start:stop], (a,), bw)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = tuple(parts)
     if not parts or any(p.ndim != 2 for p in parts):
-        raise ValueError("concat_cols expects a nonempty sequence of matrices")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+        raise ValueError("concat_rows expects a nonempty sequence of matrices")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def bw(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
-    return _make(np.concatenate([p.data for p in parts], axis=1), parts, bw)
+    return _make(np.concatenate([p.data for p in parts], axis=0), parts, bw)
+
+
+def _slot_sum(slots: np.ndarray, order: np.ndarray, group: int) -> np.ndarray:
+    """Undo the permutation ``order`` of slot rows, then sum each row's
+    ``group`` consecutive slots: [R * group, d] -> [R, d]."""
+    unsorted = np.empty_like(slots)
+    unsorted[order] = slots
+    return unsorted.reshape(-1, group, slots.shape[1]).sum(axis=1)
+
+
+def _check_slots(a: Tensor, order: np.ndarray, n_slots: int, op: str) -> None:
+    if a.ndim != 2 or order.shape != (n_slots,):
+        raise ValueError(f"{op} shape mismatch: {a.shape} with order {order.shape}")
+
+
+def dispatch_rows(a: Tensor, order, group: int) -> Tensor:
+    """out[i] = a[order[i] // group] for a permutation ``order`` of the
+    a.shape[0] * group slots, slot j of row r being r * group + j.
+
+    Each row is copied into its ``group`` slots and the slots are reordered,
+    so rows headed for the same expert become contiguous. The backward pass
+    is ``combine_rows``: an inverse permutation and a sum, no scatter-add.
+    """
+    order = np.asarray(order, dtype=np.intp)
+    _check_slots(a, order, a.shape[0] * group, "dispatch_rows")
+    return _make(a.data[order // group], (a,), lambda g: (_slot_sum(g, order, group),))
+
+
+def combine_rows(a: Tensor, order, group: int) -> Tensor:
+    """Adjoint of ``dispatch_rows``: out[r] = sum over j of the slot row that
+    ``order`` moved r * group + j to. [R * group, d] -> [R, d]."""
+    order = np.asarray(order, dtype=np.intp)
+    _check_slots(a, order, a.shape[0], "combine_rows")
+    return _make(_slot_sum(a.data, order, group), (a,), lambda g: (g[order // group],))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -384,6 +410,63 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a,), bw)
 
 
+def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
+    """[t, t] additive mask: 0 at or below the diagonal, large negative above."""
+    return np.triu(np.full((t, t), ATTENTION_MASK_VALUE, dtype=dtype), k=1)
+
+
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """[t, H * dh] -> [H, t, dh]."""
+    return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """[H, t, dh] -> [t, H * dh]."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> Tensor:
+    """Multi-head causal softmax attention over packed segments.
+
+    q, k and v are [N, d] with the heads side by side along the columns;
+    ``bounds`` holds the segment offsets 0 = b_0 < b_1 < ... < b_S = N. Row i
+    of segment s attends to the rows of s at or before i, never to another
+    segment: per head, softmax(q k^T / sqrt(d_head) + causal_mask) v. The
+    masked weights are exactly 0, so outputs are bit-identical under any
+    change to later positions or other segments. The result is [N, d], heads
+    side by side. Cost is per segment, not over the packed [N, N] square.
+    """
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape or q.shape[1] % n_heads:
+        raise ValueError(f"causal_attention shape mismatch: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, {n_heads} heads")
+    bounds = np.asarray(bounds, dtype=np.intp)
+    scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    segments = []  # (lo, hi, q, k, v, weights) per segment, heads batched
+    out = np.empty_like(q.data)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        qh, kh, vh = (_split_heads(x.data[lo:hi], n_heads) for x in (q, k, v))
+        scores = (qh @ kh.transpose(0, 2, 1)) * scale + causal_mask(hi - lo, q.data.dtype)
+        if not np.isfinite(scores).all():
+            raise ValueError("softmax input contains non-finite values")
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        out[lo:hi] = _merge_heads(w @ vh)
+        segments.append((lo, hi, qh, kh, vh, w))
+
+    def bw(g):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for lo, hi, qh, kh, vh, w in segments:
+            gh = _split_heads(g[lo:hi], n_heads)
+            gw = gh @ vh.transpose(0, 2, 1)
+            gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
+            gq[lo:hi] = _merge_heads(gs @ kh)
+            gk[lo:hi] = _merge_heads(gs.transpose(0, 2, 1) @ qh)
+            gv[lo:hi] = _merge_heads(w.transpose(0, 2, 1) @ gh)
+        return gq, gk, gv
+
+    return _make(out, (q, k, v), bw)
+
+
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not np.isfinite(a.data).all():
         raise ValueError("log_softmax input contains non-finite values")
@@ -398,14 +481,14 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU."""
+    # Products, not powers: numpy's float32 power path is ~100x slower.
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(inner)
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
     y = 0.5 * x * (1.0 + t)
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         return (g * dy,)
 
     return _make(y, (a,), bw)

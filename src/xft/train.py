@@ -17,7 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import Transformer, model_forward_loss
+from xft.model import (
+    EVAL_PACK_TOKENS,
+    Transformer,
+    model_forward_loss,
+    pack_sequences,
+    token_chunks,
+)
 from xft.tensor import Tensor
 
 
@@ -167,19 +173,24 @@ def tokenize_and_mask(ex: InstructionExample, tokenizer: ByteTokenizer,
     return tokens, mask
 
 
+def pack_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tokens, loss mask, bounds) of a list of (tokens, mask) examples."""
+    tokens, bounds = pack_sequences([tokens for tokens, _ in batch])
+    return tokens, np.concatenate([mask for _, mask in batch]), bounds
+
+
 def dataset_loss(model: Transformer, examples: Sequence[InstructionExample],
                  tokenizer: ByteTokenizer | None = None) -> float:
     """Masked next-token loss over a dataset, averaged per scored token."""
     tokenizer = tokenizer or ByteTokenizer()
+    encoded = [enc for enc in (tokenize_and_mask(ex, tokenizer, model.cfg.max_seq_len)
+                               for ex in examples) if enc is not None]
     total, weight = 0.0, 0.0
     with tn.no_grad():
-        for ex in examples:
-            enc = tokenize_and_mask(ex, tokenizer, model.cfg.max_seq_len)
-            if enc is None:
-                continue
-            tokens, mask = enc
-            _, loss = model_forward_loss(model, tokens, mask)
-            n = float(sum(mask[1:]))
+        for chunk in token_chunks(encoded, EVAL_PACK_TOKENS, length=lambda enc: len(enc[0])):
+            tokens, mask, bounds = pack_batch(chunk)
+            _, loss = model_forward_loss(model, tokens, mask, bounds, per_token=True)
+            n = float(sum(sum(m[1:]) for _, m in chunk))
             total += float(loss.data) * n
             weight += n
     if weight == 0:
@@ -200,8 +211,9 @@ class ModelTrainable:
     def named_parameters(self) -> dict[str, Tensor]:
         return self.model.named_parameters()
 
-    def example_loss(self, tokens, mask) -> Tensor:
-        return model_forward_loss(self.model, tokens, mask)[1]
+    def batch_loss(self, batch) -> Tensor:
+        """Mean over the (tokens, mask) examples of each one's masked mean loss."""
+        return model_forward_loss(self.model, *pack_batch(batch))[1]
 
 
 def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyper,
@@ -210,7 +222,8 @@ def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyp
     """Seeded shuffled mini-batch training; returns the per-step loss curve.
 
     ``trainable`` is either a Transformer (all parameters trained) or an
-    adapter with ``named_parameters``/``example_loss``. Aborts with
+    adapter with ``named_parameters``/``batch_loss``. Each step is one graph
+    over the whole packed minibatch. Aborts with
     TrainingDiverged on a non-finite loss, leaving no partial output.
     """
     if isinstance(trainable, Transformer):
@@ -243,19 +256,13 @@ def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyp
         order = rng.permutation(len(encoded))
         for start in range(0, len(encoded), hyper.batch_size):
             batch = [encoded[i] for i in order[start:start + hyper.batch_size]]
-            if hasattr(trainable, "on_step_begin"):
-                trainable.on_step_begin()
-            acc = None
-            for tokens, mask in batch:
-                loss = trainable.example_loss(tokens, mask)
-                acc = loss if acc is None else acc + loss
-            batch_loss = acc * (1.0 / len(batch))
-            value = float(batch_loss.data)
+            loss = trainable.batch_loss(batch)
+            value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingDiverged(f"loss diverged at step {step}: {value}")
             for p in params.values():
                 p.grad = None
-            tn.backward(batch_loss)
+            tn.backward(loss)
             clip_global_norm(list(params.values()), hyper.clip_norm)
             optimizer.step(lr_at_step(step, hyper, total_steps))
             if post_step is not None:

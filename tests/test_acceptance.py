@@ -176,11 +176,8 @@ def test_criterion_5_gradient_correctness():
         t.data += rng.normal(scale=0.3, size=t.shape)
     trainable = _MergedTrainable(moe_mix.copy(dtype=np.float64), coeffs)
 
-    def merged_loss():
-        trainable.on_step_begin()
-        return trainable.example_loss(tokens, mask)
-
-    err_mix = tn.finite_diff_check(merged_loss, coeffs.logits, h=1e-3)
+    err_mix = tn.finite_diff_check(lambda: trainable.batch_loss([(tokens, mask)]),
+                                   coeffs.logits, h=1e-3)
     assert err_mix < 1e-3
     assert time.monotonic() - start < 300.0
     return (f"fd rel err: dense {err_dense:.2e}, moe {err_moe:.2e}, "

@@ -144,6 +144,99 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
 
+def checkpoint_bytes(config: dict, entries, data: bytes) -> bytes:
+    """An XFTC file from (name, shape, offset) directory entries."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    out = MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob
+    out += struct.pack("<Q", len(entries))
+    for name, shape, offset in entries:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<Q", len(encoded)) + encoded + struct.pack("<BB", 0, len(shape))
+        out += struct.pack(f"<{len(shape)}Q", *shape) + struct.pack("<Q", offset)
+    return out + struct.pack("<Q", len(data)) + data
+
+
+class TestCheckpointDirectory:
+    """Each structural defect of the tensor directory raises CheckpointError."""
+
+    def parts(self):
+        model = upcycle_dense_to_moe(build_dense_model(small_cfg(), seed=3), MoEConfig(4, 3),
+                                     seed=4)
+        config = {"model": model.cfg.to_dict(), "moe": model.blocks[0].slot.cfg.to_dict(),
+                  "meta": {}}
+        entries, data = [], b""
+        for name, p in model.named_parameters().items():
+            entries.append((name, p.shape, len(data)))
+            data += p.data.astype("<f4").tobytes()
+        return model, config, entries, data
+
+    def load(self, tmp_path, config, entries, data):
+        path = str(tmp_path / "c.xftc")
+        open(path, "wb").write(checkpoint_bytes(config, entries, data))
+        return load_checkpoint(path)
+
+    def test_builder_matches_saved_file(self, tmp_path):
+        model, config, entries, data = self.parts()
+        path = str(tmp_path / "saved.xftc")
+        save_checkpoint(model, path)
+        assert open(path, "rb").read() == checkpoint_bytes(config, entries, data)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        with pytest.raises(CheckpointError, match="appears twice"):
+            self.load(tmp_path, config, entries + entries[:1], data)
+
+    def test_overlapping_tensors_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        name, shape, _ = entries[1]
+        entries[1] = (name, shape, entries[0][2])
+        with pytest.raises(CheckpointError, match="overlap"):
+            self.load(tmp_path, config, entries, data)
+
+    def test_tensor_beyond_data_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        name, shape, _ = entries[-1]
+        entries[-1] = (name, shape, len(data) - 4)
+        with pytest.raises(CheckpointError, match="beyond data section"):
+            self.load(tmp_path, config, entries, data)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        with pytest.raises(CheckpointError, match="missing 'layers.1.moe.experts.2.b_up'"):
+            self.load(tmp_path, config,
+                      [e for e in entries if e[0] != "layers.1.moe.experts.2.b_up"], data)
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        extra = [("layers.0.moe.experts.9.b_up", (4,), len(data))]
+        with pytest.raises(CheckpointError, match="unexpected.*experts.9"):
+            self.load(tmp_path, config, entries + extra, data + bytes(16))
+
+    def test_dense_config_with_moe_tensors_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        with pytest.raises(CheckpointError, match="do not match the declared architecture"):
+            self.load(tmp_path, dict(config, moe=None), entries, data)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        i = next(i for i, e in enumerate(entries) if e[0] == "layers.0.attn.wq")
+        d = config["model"]["d_model"]
+        entries[i] = ("layers.0.attn.wq", (d // 2, 2 * d), entries[i][2])
+        with pytest.raises(CheckpointError, match=r"'layers.0.attn.wq' has shape \(8, 32\)"):
+            self.load(tmp_path, config, entries, data)
+
+    def test_config_read_stops_after_header(self, tmp_path):
+        model, config, entries, data = self.parts()
+        path = str(tmp_path / "head.xftc")
+        save_checkpoint(model, path)
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        head = open(path, "rb").read()[:16 + len(blob)]
+        open(path, "wb").write(head)
+        assert read_checkpoint_config(path) == config
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
 class TestDataset:
     def write(self, tmp_path, text: str) -> str:
         path = str(tmp_path / "data.jsonl")

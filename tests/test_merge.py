@@ -205,8 +205,7 @@ class TestLearnMixingCoefficients:
         moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=9), MoEConfig(4, 3), seed=10)
         coeffs = init_mixing_coefficients(4, cfg.n_layers, lam=0.75)
         trainable = _MergedTrainable(moe, coeffs)
-        trainable.on_step_begin()
-        loss = trainable.example_loss([1, 2, 3, 4, 5], [0, 1, 1, 1, 1])
+        loss = trainable.batch_loss([([1, 2, 3, 4, 5], [0, 1, 1, 1, 1])])
         tn.backward(loss)
         for t in coeffs.logits:
             assert np.abs(t.grad).max() <= 1e-5
@@ -226,11 +225,8 @@ class TestLearnMixingCoefficients:
         trainable = _MergedTrainable(moe64, coeffs)
         tokens, mask = [1, 5, 2, 8, 0], [0, 1, 1, 1, 1]
 
-        def f():
-            trainable.on_step_begin()
-            return trainable.example_loss(tokens, mask)
-
-        err = tn.finite_diff_check(f, coeffs.logits, h=1e-3)
+        err = tn.finite_diff_check(lambda: trainable.batch_loss([(tokens, mask)]),
+                                   coeffs.logits, h=1e-3)
         assert err < 1e-3
 
     def test_unconstrained_gradients_match_finite_differences(self):
@@ -245,8 +241,7 @@ class TestLearnMixingCoefficients:
         trainable = _MergedTrainable(moe64, coeffs)
 
         def f():
-            trainable.on_step_begin()
-            return trainable.example_loss([1, 2, 3, 4], [0, 1, 1, 1])
+            return trainable.batch_loss([([1, 2, 3, 4], [0, 1, 1, 1])])
 
         assert tn.finite_diff_check(f, coeffs.logits) < 1e-3
 

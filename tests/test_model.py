@@ -119,13 +119,67 @@ class TestAttention:
             model.logits([1, 2, 3, 4, 5])
 
 
+def composed_attention(q, k, v, bounds, n_heads):
+    """Reference for ``tn.causal_attention`` built from elementary ops: per
+    segment and head, masked softmax(q k^T / sqrt(d_head)) v. Head columns
+    are picked and placed back with 0/1 selector matrices."""
+    d = q.shape[1]
+    d_head = d // n_heads
+    eye = np.eye(d, dtype=q.data.dtype)
+    segments = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        qs, ks, vs = (tn.slice_rows(x, lo, hi) for x in (q, k, v))
+        mask = Tensor(tn.causal_mask(hi - lo, q.data.dtype))
+        out = None
+        for h in range(n_heads):
+            pick = Tensor(eye[:, h * d_head:(h + 1) * d_head].copy())
+            scores = ((qs @ pick) @ (ks @ pick).transpose()) * (1.0 / math.sqrt(d_head)) + mask
+            head = (tn.softmax(scores, axis=-1) @ (vs @ pick)) @ pick.transpose()
+            out = head if out is None else out + head
+        segments.append(out)
+    return tn.concat_rows(segments)
+
+
+class TestFusedAttention:
+    BOUNDS = [0, 5, 7, 15]
+
+    def qkv(self, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=(15, 8)).astype(dtype), requires_grad=True)
+                for _ in range(3)]
+
+    def test_forward_matches_composed_ops(self):
+        q, k, v = self.qkv(np.float32)
+        fused = tn.causal_attention(q, k, v, self.BOUNDS, n_heads=2).data
+        ref = composed_attention(q, k, v, self.BOUNDS, n_heads=2).data
+        assert np.allclose(fused, ref, atol=1e-6)
+
+    def test_gradients_match_composed_ops(self):
+        q, k, v = self.qkv(np.float64, seed=1)
+        readout = Tensor(np.random.default_rng(2).normal(size=(15, 8)))
+        grads = []
+        for attend in (tn.causal_attention, composed_attention):
+            for p in (q, k, v):
+                p.grad = None
+            tn.backward((attend(q, k, v, self.BOUNDS, 2) * readout).sum())
+            grads.append([p.grad.copy() for p in (q, k, v)])
+        for fused, ref in zip(*grads):
+            assert np.allclose(fused, ref, rtol=1e-10, atol=1e-12)
+
+    def test_non_finite_scores_rejected(self):
+        q, k, v = self.qkv(np.float32)
+        q.data[6, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            tn.causal_attention(q, k, v, self.BOUNDS, n_heads=2)
+
+
 class _StubModel:
     """Fixed-logit stand-in for loss-formula tests."""
 
     def __init__(self, logits_rows):
         self._rows = np.asarray(logits_rows, dtype=np.float32)
 
-    def logits(self, tokens):
+    def logits(self, tokens, bounds=None):
         return Tensor(self._rows[: len(tokens)].copy())
 
 

@@ -16,7 +16,8 @@ from xft.moe import (
     route_standard,
     upcycle_dense_to_moe,
 )
-from xft.model import FFNWeights
+from xft.model import FFNWeights, ffn_forward
+from xft.moe import RoutingRecord
 from xft.tensor import Tensor
 
 
@@ -226,6 +227,88 @@ class TestMoELayerForward:
         a, _ = layer.forward(u, activation=tn.identity)
         b, _ = moe_layer_forward(u, layer, activation=tn.identity)
         assert np.array_equal(a.data, b.data)
+
+
+def per_expert_forward(layer: MoELayer, u: Tensor) -> Tensor:
+    """Reference for the grouped dispatch: the shared expert on every token,
+    then one gather, expert call and gated scatter-add per normal expert.
+    The scatter is a product with a 0/1 placement matrix."""
+    t, r = u.shape[0], layer.cfg.top_k - 1
+    scores = layer.normal_affinities(u)
+    ranked = np.argsort(-scores.data, axis=1, kind="stable")
+    sel = ranked[:, :r]
+    s_max = tn.take_along_rows(scores, ranked[:, :1])
+    normal_gates = tn.softmax(tn.take_along_rows(scores, sel), axis=-1) * s_max
+    h = u + ffn_forward(u, layer.experts[SHARED_EXPERT]) * (1.0 - s_max)
+    gates_flat = normal_gates.reshape((t * r, 1))
+    for e in range(1, layer.cfg.n_experts):
+        rows, slots = np.nonzero(sel == e - 1)
+        if rows.size == 0:
+            continue
+        gate_col = tn.gather_rows(gates_flat, rows * r + slots)
+        out = ffn_forward(tn.gather_rows(u, rows), layer.experts[e]) * gate_col
+        place = Tensor(np.eye(t, dtype=u.data.dtype)[:, rows].copy())
+        h = h + place @ out
+    return h
+
+
+class TestGroupedDispatch:
+    def layer_and_input(self, n, k, dtype, seed):
+        cfg = small_cfg()
+        moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=seed), MoEConfig(n, k),
+                                   seed=seed + 1).copy(dtype=dtype)
+        layer = moe.blocks[0].slot
+        rng = np.random.default_rng(seed + 2)
+        layer.centroids.data *= 50.0
+        for expert in layer.experts:
+            for t in expert.tensors().values():
+                t.data += 0.1 * rng.normal(size=t.shape)
+        u = Tensor(rng.normal(size=(23, cfg.d_model)).astype(dtype), requires_grad=True)
+        return layer, u
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 3), (8, 6), (8, 8)])
+    def test_forward_matches_per_expert_loop(self, n, k):
+        layer, u = self.layer_and_input(n, k, np.float32, seed=n + k)
+        with tn.no_grad():
+            grouped, _ = layer.forward(u)
+            ref = per_expert_forward(layer, u)
+        assert np.allclose(grouped.data, ref.data, atol=1e-5)
+
+    def test_gradients_match_per_expert_loop(self):
+        layer, u = self.layer_and_input(8, 6, np.float64, seed=3)
+        params = [u, layer.centroids] + [t for e in layer.experts for t in e.tensors().values()]
+        readout = Tensor(np.random.default_rng(4).normal(size=u.shape))
+        grads = []
+        for forward in (lambda: layer.forward(u)[0], lambda: per_expert_forward(layer, u)):
+            for p in params:
+                p.grad = None
+            tn.backward((forward() * readout).sum())
+            grads.append([p.grad.copy() for p in params])
+        for grouped, ref in zip(*grads):
+            assert np.allclose(grouped, ref, rtol=1e-9, atol=1e-12)
+
+
+class TestRoutingRecord:
+    def test_arrays_and_per_token_view(self):
+        cfg = small_cfg()
+        moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=2), MoEConfig(8, 6), seed=3)
+        layer = moe.blocks[0].slot
+        u = Tensor(np.random.default_rng(5).normal(scale=2.0, size=(9, cfg.d_model))
+                   .astype(np.float32))
+        with tn.no_grad():
+            _, record = layer.forward(u)
+        assert isinstance(record, RoutingRecord)
+        assert record.selected.shape == (9, 6) and record.gates.shape == (9, 6)
+        assert record.scores.shape == (9, 7)
+        assert len(record) == 9 and len(list(record)) == 9
+        for i, d in enumerate(record):
+            assert isinstance(d, RouterDecision)
+            ref = route_shared_normalized(affinity_scores(u.data[i], layer), 6)
+            assert d.selected == ref.selected == record.selected[i].tolist()
+            assert np.allclose(d.gates, ref.gates, atol=1e-6)
+            assert d.s_max == pytest.approx(ref.s_max, abs=1e-7)
+            assert np.array_equal(d.scores, record.scores[i])
+        assert record[-1].selected == record.selected[-1].tolist()
 
 
 class TestUpcycle:

@@ -1,0 +1,154 @@
+"""Packed minibatches: one graph per training step, equal to per-example runs."""
+
+import numpy as np
+import pytest
+
+from xft import tensor as tn
+from xft.merge import _MergedTrainable, init_mixing_coefficients
+from xft.model import ModelConfig, build_dense_model, pack_sequences
+from xft.moe import MoEConfig, upcycle_dense_to_moe
+from xft.train import ModelTrainable
+
+CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=12)
+LENGTHS = (7, 2, 12, 5)  # unequal, one of length 2, one at max_seq_len
+
+
+def random_batch(lengths, seed: int):
+    """(tokens, mask) examples; every mask selects at least one target."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for n in lengths:
+        tokens = rng.integers(0, CFG.vocab_size, size=n).tolist()
+        mask = [0] + rng.integers(0, 2, size=n - 1).tolist()
+        mask[-1] = 1
+        batch.append((tokens, mask))
+    return batch
+
+
+def distinct_moe(seed: int, n: int = 4, k: int = 3):
+    """Upcycled MoE whose experts differ and whose router is far from uniform."""
+    moe = upcycle_dense_to_moe(build_dense_model(CFG, seed=seed), MoEConfig(n, k), seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    for block in moe.blocks:
+        block.slot.centroids.data *= 50.0
+        for expert in block.slot.experts:
+            for t in expert.tensors().values():
+                t.data += 0.1 * rng.normal(size=t.shape).astype(np.float32)
+    return moe
+
+
+def dense_trainable():
+    return ModelTrainable(build_dense_model(CFG, seed=3))
+
+
+def moe_trainable():
+    return ModelTrainable(distinct_moe(seed=4))
+
+
+def merged_trainable():
+    coeffs = init_mixing_coefficients(4, CFG.n_layers, lam=0.6)
+    rng = np.random.default_rng(5)
+    for t in coeffs.logits:
+        t.data += rng.normal(scale=0.3, size=t.shape).astype(np.float32)
+    return _MergedTrainable(distinct_moe(seed=6), coeffs)
+
+
+TRAINABLES = {"dense": dense_trainable, "moe": moe_trainable, "merged": merged_trainable}
+
+
+def loss_and_grads(trainable, batches, scale: float):
+    """Summed loss of the batches times ``scale``, and the parameter grads."""
+    params = trainable.named_parameters()
+    for p in params.values():
+        p.grad = None
+    total = 0.0
+    for batch in batches:
+        loss = trainable.batch_loss(batch) * scale
+        tn.backward(loss)
+        total += float(loss.data)
+    return total, {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
+
+
+class TestPackedMatchesPerExample:
+    @pytest.mark.parametrize("kind", sorted(TRAINABLES))
+    def test_loss_and_gradients(self, kind):
+        trainable = TRAINABLES[kind]()
+        batch = random_batch(LENGTHS, seed=7)
+        packed_loss, packed_grads = loss_and_grads(trainable, [batch], 1.0)
+        ref_loss, ref_grads = loss_and_grads(trainable, [[ex] for ex in batch], 1.0 / len(batch))
+        assert packed_loss == pytest.approx(ref_loss, rel=1e-5)
+        assert sorted(packed_grads) == sorted(ref_grads)
+        for name, g in ref_grads.items():
+            scale = float(np.abs(g).max()) + 1e-6
+            assert np.abs(packed_grads[name] - g).max() <= 1e-4 * scale, name
+
+    @pytest.mark.parametrize("kind", ["dense", "moe"])
+    def test_segment_logits_match_single_runs(self, kind):
+        model = TRAINABLES[kind]().model
+        seqs = [tokens for tokens, _ in random_batch(LENGTHS, seed=8)]
+        with tn.no_grad():
+            packed = model.logits(*pack_sequences(seqs)).data
+            singles = np.concatenate([model.logits(s).data for s in seqs])
+        assert np.allclose(packed, singles, atol=1e-5)
+
+
+class TestNoCrossContamination:
+    @pytest.mark.parametrize("kind", ["dense", "moe"])
+    def test_perturbing_one_segment_leaves_others_bit_identical(self, kind):
+        model = TRAINABLES[kind]().model
+        seqs = [tokens for tokens, _ in random_batch(LENGTHS, seed=9)]
+        tokens, bounds = pack_sequences(seqs)
+        with tn.no_grad():
+            base = model.logits(tokens, bounds).data.copy()
+            for s in range(len(seqs)):
+                lo, hi = bounds[s], bounds[s + 1]
+                perturbed = tokens.copy()
+                perturbed[lo:hi] = (perturbed[lo:hi] + 5) % CFG.vocab_size
+                changed = model.logits(perturbed, bounds).data
+                assert not np.array_equal(changed[lo:hi], base[lo:hi])
+                assert np.array_equal(changed[:lo], base[:lo]), f"segment {s} leaked backward"
+                assert np.array_equal(changed[hi:], base[hi:]), f"segment {s} leaked forward"
+
+    def test_positions_restart_per_segment(self):
+        model = build_dense_model(CFG, seed=10)
+        seq = [3, 1, 4, 1, 5]
+        with tn.no_grad():
+            packed = model.logits(*pack_sequences([seq, seq])).data
+        assert np.allclose(packed[:5], packed[5:], atol=1e-6)
+
+    def test_each_segment_checked_against_max_seq_len(self):
+        model = build_dense_model(CFG, seed=11)
+        tokens, bounds = pack_sequences([[1] * 6, [2] * (CFG.max_seq_len + 1)])
+        with pytest.raises(ValueError, match="max_seq_len"):
+            model.logits(tokens, bounds)
+
+    def test_bad_bounds_rejected(self):
+        model = build_dense_model(CFG, seed=12)
+        with pytest.raises(ValueError, match="segment bounds"):
+            model.logits([1, 2, 3, 4], [0, 3, 3, 4])
+        with pytest.raises(ValueError, match="segment bounds"):
+            model.logits([1, 2, 3, 4], [0, 3])
+
+
+def graph_nodes(root) -> int:
+    """Nodes of the recorded graph under ``root``, leaves included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestGraphSizeIndependentOfBatch:
+    """The graph of one packed step has a fixed node count, whatever the batch
+    size; this is what the benchmark's ``tensor.ops_per_step`` measures."""
+
+    @pytest.mark.parametrize("kind", sorted(TRAINABLES))
+    def test_node_count_flat_in_batch_size(self, kind):
+        trainable = TRAINABLES[kind]()
+        counts = [graph_nodes(trainable.batch_loss(random_batch([9] * b, seed=b)))
+                  for b in (4, 16)]
+        assert counts[0] == counts[1]
+        assert graph_nodes(trainable.batch_loss(random_batch([9], seed=1))) <= counts[0]

@@ -156,9 +156,13 @@ OP_CASES = [
     ("take_along_rows",
      lambda a: tn.take_along_rows(a, np.array([[0, 3], [1, 1], [4, 0], [2, 3]])),
      [(4, 5)]),
-    ("scatter_rows", lambda a: tn.scatter_rows(a, [1, 4, 1], 6), [(3, 4)]),
-    ("slice_cols", lambda a: tn.slice_cols(a, 1, 4), [(3, 6)]),
-    ("concat_cols", lambda a, b: tn.concat_cols([a, b]), [(3, 2), (3, 4)]),
+    ("slice_rows", lambda a: tn.slice_rows(a, 1, 4), [(6, 3)]),
+    ("concat_rows", lambda a, b: tn.concat_rows([a, b]), [(2, 3), (4, 3)]),
+    ("dispatch_rows", lambda a: tn.dispatch_rows(a, [4, 1, 5, 0, 3, 2], 2), [(3, 4)]),
+    ("combine_rows", lambda a: tn.combine_rows(a, [4, 1, 5, 0, 3, 2], 3), [(6, 4)]),
+    ("causal_attention",
+     lambda q, k, v: tn.causal_attention(q, k, v, [0, 2, 5, 6], n_heads=2),
+     [(6, 4), (6, 4), (6, 4)]),
     ("softmax", tn.softmax, [(3, 6)]),
     ("log_softmax", tn.log_softmax, [(3, 6)]),
     ("gelu", tn.gelu, [(4, 4)]),

@@ -231,7 +231,7 @@ class TestSFTTrain:
             def named_parameters(self):
                 return {"p": self._p}
 
-            def example_loss(self, tokens, mask):
+            def batch_loss(self, batch):
                 return Tensor(np.float32(np.nan), requires_grad=True)
 
         with pytest.raises(TrainingDiverged, match="step 0"):
