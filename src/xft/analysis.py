@@ -1,4 +1,4 @@
-"""Routing statistics and the two-expert ensembling identity check."""
+"""Routing statistics: the per-layer expert-load histogram."""
 
 from __future__ import annotations
 
@@ -7,19 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import (
-    EVAL_PACK_TOKENS,
-    ModelConfig,
-    Transformer,
-    attention_forward,
-    build_dense_model,
-    build_ffn,
-    ffn_forward,
-    pack_sequences,
-    token_chunks,
-)
-from xft.moe import MoEConfig, MoELayer
-from xft.tensor import Tensor
+from xft.model import EVAL_PACK_TOKENS, Transformer, pack_sequences, token_chunks
+from xft.moe import MoEConfig
 
 
 @dataclass
@@ -107,45 +96,3 @@ def expert_load_histogram(model: Transformer, sequences, corpus_label: str = "co
                 counts[layer] += np.bincount(record.selected[:, 1:].ravel() - 1,
                                              minlength=cfg.n_experts - 1)
     return ExpertLoadReport(corpus_label, n_tokens, cfg.n_experts, cfg.top_k, counts)
-
-
-def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
-                            seq_len: int = 8) -> float:
-    """Max logit deviation between a constant-gate two-expert model and the
-    matching output ensemble.
-
-    The instance is a one-layer transformer whose MoE layer holds two experts
-    that are both always selected with fixed gates (1 - alpha, alpha), and
-    whose post-MoE path is a bare linear unembedding. The two dense models
-    share the attention layer and unembedding but keep one expert each, so
-    the MoE logits should equal the gate-weighted sum of their logits.
-    """
-    cfg = ModelConfig(vocab_size=23, d_model=16, n_layers=1, n_heads=2, d_ff=24,
-                      max_seq_len=max(seq_len, 2))
-    rng = np.random.default_rng(seed)
-    base = build_dense_model(cfg, seed=seed)
-    block = base.blocks[0]
-    expert_a = block.slot
-    expert_b = build_ffn(rng, cfg, std=0.08)
-    layer = MoELayer([expert_a, expert_b],
-                     Tensor(np.zeros((2, cfg.d_model), dtype=np.float32)),
-                     MoEConfig(n_experts=2, top_k=2))
-    gates = np.array([1.0 - alpha, alpha], dtype=np.float32)
-
-    worst = 0.0
-    with tn.no_grad():
-        for _ in range(n_inputs):
-            tokens = rng.integers(0, cfg.vocab_size, size=seq_len)
-            x = tn.gather_rows(base.tok_emb, tokens) + tn.gather_rows(
-                base.pos_emb, np.arange(seq_len))
-            u = attention_forward(x, block, cfg)
-
-            h_moe, _ = layer.forward(u, router_override=([0, 1], gates))
-            logits_moe = (h_moe @ base.unembed).data
-
-            ensemble = np.zeros_like(logits_moe)
-            for gate, expert in zip(gates, layer.experts):
-                h = u + ffn_forward(u, expert)
-                ensemble += gate * (h @ base.unembed).data
-            worst = max(worst, float(np.abs(logits_moe - ensemble).max()))
-    return worst

@@ -94,11 +94,21 @@ class MixingCoefficients:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "MixingCoefficients":
-        lam = obj["shared_rate"]
-        logits = [Tensor(np.asarray(row, dtype=np.float32), requires_grad=True)
-                  for row in obj["logits"]]
-        return cls(logits, None if lam is None else float(lam), int(obj["n_experts"]))
+    def from_json_obj(cls, obj) -> "MixingCoefficients":
+        """Inverse of ``to_json_obj``; ``alphas`` is derived, so it is not read."""
+        fields = ("n_experts", "shared_rate", "logits")
+        if not isinstance(obj, dict) or any(f not in obj for f in fields):
+            raise ValueError(f"coefficients need the fields {', '.join(fields)}")
+        n, lam, rows = (obj[f] for f in fields)
+        if not (type(n) is int and (lam is None or _is_number(lam)) and isinstance(rows, list)
+                and all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)):
+            raise ValueError("coefficient fields have the wrong types")
+        logits = [Tensor(np.asarray(row, dtype=np.float32), requires_grad=True) for row in rows]
+        return cls(logits, None if lam is None else float(lam), n)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def init_mixing_coefficients(n_experts: int, n_layers: int, lam: float,
@@ -124,6 +134,8 @@ def merge_fixed(layer: MoELayer, alpha) -> FFNWeights:
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (layer.cfg.n_experts,):
         raise ValueError(f"expected {layer.cfg.n_experts} coefficients, got shape {alpha.shape}")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"mixing coefficients must be finite, got {alpha.tolist()}")
     if abs(float(alpha.sum()) - 1.0) >= ALPHA_SUM_TOL:
         raise ValueError(f"mixing coefficients must sum to 1, got {float(alpha.sum())}")
     if (alpha < 0).any():
@@ -166,11 +178,6 @@ def extract_shared_expert(model: Transformer) -> Transformer:
     one_hot = np.zeros(n)
     one_hot[SHARED_EXPERT] = 1.0
     return _merge_with(model, lambda _: one_hot)
-
-
-def ewa_finalize(model: Transformer) -> Transformer:
-    """EWA's final conversion: uniform averaging of each layer's experts."""
-    return merge_uniform(model)
 
 
 @dataclass

@@ -64,7 +64,7 @@ class MoEConfig:
 
 @dataclass
 class RouterDecision:
-    """One token's routing outcome.
+    """One token's routing outcome, as returned by the reference routers.
 
     ``scores`` holds the normal experts' affinities (softmax outputs), indexed
     by expert - 1. ``selected`` lists expert indices, shared expert first,
@@ -82,8 +82,7 @@ class RoutingRecord:
 
     ``selected`` [T, K] and ``gates`` [T, K] list the shared expert first,
     then the normal experts in descending affinity; ``scores`` [T, N-1] holds
-    the normal experts' affinities. Indexing, ``len`` and iteration give the
-    per-token ``RouterDecision`` view, built only when asked for.
+    the normal experts' affinities.
     """
 
     __slots__ = ("selected", "gates", "scores")
@@ -92,17 +91,6 @@ class RoutingRecord:
         self.selected = selected
         self.gates = gates
         self.scores = scores
-
-    def __len__(self) -> int:
-        return self.selected.shape[0]
-
-    def __getitem__(self, i: int) -> RouterDecision:
-        scores = self.scores[i]
-        return RouterDecision(scores=scores.copy(), s_max=float(scores.max()),
-                              selected=self.selected[i].tolist(), gates=self.gates[i].copy())
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _ranked_indices(scores_row: np.ndarray) -> np.ndarray:
@@ -194,12 +182,6 @@ class MoELayer:
             scores=sd,
         )
         return h, record
-
-
-def moe_layer_forward(u: Tensor, layer: MoELayer, activation: Callable = tn.gelu,
-                      router_override=None):
-    """Functional form of ``MoELayer.forward``."""
-    return layer.forward(u, activation=activation, router_override=router_override)
 
 
 def affinity_scores(u, layer: MoELayer) -> np.ndarray:

@@ -37,7 +37,6 @@ class TrainHyper:
     peak_lr: float = 1e-3
     warmup_steps: int = 0
     epochs: int = 1
-    schedule: str = "linear"
     seed: int = 0
     weight_decay: float = 0.01
     clip_norm: float = 1.0
@@ -49,8 +48,6 @@ class TrainHyper:
             raise ValueError("peak_lr must be positive")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise ValueError("epochs and warmup_steps must be non-negative")
-        if self.schedule != "linear":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
 
 
 # Hyperparameters of the reference billion-parameter runs this pipeline

@@ -14,10 +14,17 @@ import pytest
 
 from conftest import make_smoke_corpus, symmetric_router_model
 from xft import tensor as tn
-from xft.analysis import ensemble_identity_check, expert_load_histogram
+from xft.analysis import expert_load_histogram
 from xft.checkpoint import load_checkpoint
 from xft.cli import EXIT_OK, cli_dispatch
 from xft.dataset import save_instruction_dataset
+from xft.invariants import (
+    ensemble_identity_check,
+    ewa_closed_form_check,
+    gate_sum_check,
+    gradient_check,
+    init_equivalence_check,
+)
 from xft.merge import (
     MixingCoefficients,
     ewa_step,
@@ -26,9 +33,8 @@ from xft.merge import (
     merge_fixed,
     merge_uniform,
     merge_xft,
-    _MergedTrainable,
 )
-from xft.model import FFNWeights, ModelConfig, build_dense_model, model_forward_loss
+from xft.model import FFNWeights, ModelConfig, build_dense_model
 from xft.moe import MoEConfig, MoELayer, route_shared_normalized, route_standard, upcycle_dense_to_moe
 from xft.tensor import Tensor
 from xft.train import TrainHyper, dataset_loss
@@ -63,19 +69,10 @@ def grid_combos():
 def test_criterion_1_init_equivalence():
     start = time.monotonic()
     cfg = desk_cfg()
-    dense = build_dense_model(cfg, seed=0)
     rng = np.random.default_rng(1)
     inputs = [rng.integers(0, cfg.vocab_size, size=12).tolist() for _ in range(100)]
-    with tn.no_grad():
-        dense_logits = [dense.logits(t).data.copy() for t in inputs]
-    worst = 0.0
-    for n, k in grid_combos():
-        moe = upcycle_dense_to_moe(dense, MoEConfig(n_experts=n, top_k=k), seed=10 + n + k)
-        with tn.no_grad():
-            for tokens, ref in zip(inputs, dense_logits):
-                diff = float(np.abs(moe.logits(tokens).data - ref).max())
-                worst = max(worst, diff)
-                assert diff < 1e-5, f"N={n} K={k}: max-abs logit diff {diff}"
+    worst = init_equivalence_check(build_dense_model(cfg, seed=0), grid_combos(), inputs, seed=10)
+    assert worst < 1e-5, f"max-abs logit diff {worst}"
     assert time.monotonic() - start < 60.0
     return f"max-abs logit diff {worst:.2e} over {len(grid_combos())} (N,K) combos x 100 inputs"
 
@@ -104,21 +101,11 @@ def test_criterion_2_scale_mismatch_witness():
 
 @acceptance(3, "gate-sum")
 def test_criterion_3_gate_sum():
-    cfg = desk_cfg()
-    moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=3), MoEConfig(8, 6), seed=4)
-    rng = np.random.default_rng(5)
-    worst, checked = 0.0, 0
-    with tn.no_grad():
-        for block in moe.blocks:
-            for _ in range(5):  # 5 batches x 100 tokens x 2 layers = 1000 routings
-                u = Tensor(rng.normal(scale=2.0, size=(100, cfg.d_model)).astype(np.float32))
-                _, decisions = block.slot.forward(u)
-                for d in decisions:
-                    dev = abs(float(d.gates.sum()) - 1.0)
-                    worst = max(worst, dev)
-                    assert dev < 1e-5
-                checked += len(decisions)
+    moe = upcycle_dense_to_moe(build_dense_model(desk_cfg(), seed=3), MoEConfig(8, 6), seed=4)
+    worst = gate_sum_check(moe, seed=5, batches=5, tokens=100)
+    checked = len(moe.blocks) * 5 * 100  # 2 layers x 5 batches x 100 tokens
     assert checked >= 1000
+    assert worst < 1e-5
     return f"max |gate sum - 1| = {worst:.2e} over {checked} random routings"
 
 
@@ -146,42 +133,12 @@ def test_criterion_5_gradient_correctness():
     start = time.monotonic()
     cfg = ModelConfig(vocab_size=17, d_model=16, n_layers=2, n_heads=2, d_ff=20,
                       max_seq_len=12)
-    tokens = [1, 5, 2, 8, 0, 3, 7, 4]
-    mask = [0, 1, 1, 1, 1, 1, 1, 1]
-
-    dense = build_dense_model(cfg, seed=17).copy(dtype=np.float64)
-    err_dense = tn.finite_diff_check(
-        lambda: model_forward_loss(dense, tokens, mask)[1],
-        dense.named_parameters().values(), h=1e-3, n_probes=50, seed=0)
-    assert err_dense < 1e-3
-
-    moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=17), MoEConfig(4, 3), seed=23)
-    moe = moe.copy(dtype=np.float64)
-    for block in moe.blocks:
-        # spread affinities away from top-k selection boundaries
-        block.slot.centroids.data *= 120.0
-    err_moe = tn.finite_diff_check(
-        lambda: model_forward_loss(moe, tokens, mask)[1],
-        moe.named_parameters().values(), h=1e-3, n_probes=50, seed=1)
-    assert err_moe < 1e-3
-
-    rng = np.random.default_rng(29)
-    moe_mix = upcycle_dense_to_moe(build_dense_model(cfg, seed=18), MoEConfig(4, 3), seed=24)
-    for block in moe_mix.blocks:
-        for expert in block.slot.experts:
-            for t in expert.tensors().values():
-                t.data += 0.1 * rng.normal(size=t.shape).astype(np.float32)
-    coeffs = init_mixing_coefficients(4, cfg.n_layers, lam=0.6, dtype=np.float64)
-    for t in coeffs.logits:
-        t.data += rng.normal(scale=0.3, size=t.shape)
-    trainable = _MergedTrainable(moe_mix.copy(dtype=np.float64), coeffs)
-
-    err_mix = tn.finite_diff_check(lambda: trainable.batch_loss([(tokens, mask)]),
-                                   coeffs.logits, h=1e-3)
-    assert err_mix < 1e-3
+    errors = gradient_check(cfg, [1, 5, 2, 8, 0, 3, 7, 4], [0, 1, 1, 1, 1, 1, 1, 1], seed=17)
+    for name, err in errors.items():
+        assert err < 1e-3, f"{name}: fd rel err {err}"
     assert time.monotonic() - start < 300.0
-    return (f"fd rel err: dense {err_dense:.2e}, moe {err_moe:.2e}, "
-            f"mixing logits {err_mix:.2e} (tol 1e-3)")
+    return (f"fd rel err: dense {errors['dense']:.2e}, moe {errors['moe']:.2e}, "
+            f"mixing logits {errors['mixing']:.2e} (tol 1e-3)")
 
 
 @acceptance(6, "merge identities")
@@ -286,21 +243,8 @@ def test_criterion_8_ensemble_identity():
 
 @acceptance(9, "EWA oracle")
 def test_criterion_9_ewa_oracle():
-    def scalar_expert(v):
-        return FFNWeights(Tensor(np.array([[v]], dtype=np.float32)),
-                          Tensor(np.zeros(1, dtype=np.float32)),
-                          Tensor(np.ones((1, 1), dtype=np.float32)),
-                          Tensor(np.zeros(1, dtype=np.float32)))
-
-    layer = MoELayer([scalar_expert(0.0), scalar_expert(1.0)],
-                     Tensor(np.zeros((2, 1), dtype=np.float32)), MoEConfig(2, 2))
-    beta, steps = 0.3, 3
-    for _ in range(steps):
-        ewa_step(layer, beta)
-    decay = (1.0 - beta) ** steps
-    got = np.array([float(e.w_up.data[0, 0]) for e in layer.experts])
-    want = np.array([0.5 - 0.5 * decay, 0.5 + 0.5 * decay])
-    err = float(np.abs(got - want).max())
+    beta = 0.3
+    err = ewa_closed_form_check(beta, steps=3)
     assert err < 1e-6
 
     # the EWA finalization is uniform averaging of the final experts

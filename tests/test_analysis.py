@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import symmetric_router_model
-from xft.analysis import ExpertLoadReport, ensemble_identity_check, expert_load_histogram
+from xft.analysis import ExpertLoadReport, expert_load_histogram
+from xft.invariants import ensemble_identity_check
 from xft.model import ModelConfig, build_dense_model
 from xft.moe import MoEConfig, upcycle_dense_to_moe
 

@@ -9,6 +9,7 @@ from xft import tensor as tn
 from xft.checkpoint import load_checkpoint, read_checkpoint_config
 from xft.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, cli_dispatch
 from xft.dataset import save_instruction_dataset
+from xft.merge import init_mixing_coefficients
 from xft.train import InstructionExample
 
 MODEL_FLAGS = ["--d-model", "16", "--layers", "2", "--heads", "2", "--d-ff", "20",
@@ -60,10 +61,51 @@ class TestIOErrors:
         assert run("eval-loss", "--ckpt", dense, "--data", str(bad)) == EXIT_IO
         assert ":1:" in capsys.readouterr().err
 
+    def test_upcycle_rejects_moe_checkpoint(self, workspace, capsys):
+        tmp_path, dense, _ = workspace
+        moe = tmp_path / "moe.xftc"
+        run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "2")
+        assert run("upcycle", "--ckpt", str(moe), "--out", str(tmp_path / "x.xftc")) == EXIT_IO
+        assert "dense" in capsys.readouterr().err
+
     def test_train_moe_rejects_dense_checkpoint(self, workspace):
         tmp_path, dense, data = workspace
         assert run("train-moe", "--ckpt", dense, "--data", data,
                    "--out", str(tmp_path / "x.xftc")) == EXIT_IO
+
+
+def merge_with_coeffs(workspace, mode, obj) -> int:
+    """Exit code of ``merge --coeffs`` on the JSON ``obj``; asserts no output."""
+    tmp_path, dense, _ = workspace
+    moe, coeffs, out = (tmp_path / name for name in ("moe.xftc", "c.json", "merged.xftc"))
+    run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "3")
+    coeffs.write_text(json.dumps(obj))
+    code = run("merge", "--ckpt", str(moe), "--out", str(out), "--mode", mode,
+               "--coeffs", str(coeffs))
+    assert not out.exists()
+    return code
+
+
+def coeffs_obj(soup=False) -> dict:
+    return init_mixing_coefficients(4, 2, 0.75, unconstrained=soup).to_json_obj()
+
+
+class TestCoefficientFiles:
+    def test_nan_logit_writes_no_checkpoint(self, workspace):
+        obj = coeffs_obj()
+        obj["logits"][0][0] = float("nan")
+        assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
+
+    def test_xft_mode_rejects_soup_coefficients(self, workspace):
+        assert merge_with_coeffs(workspace, "xft", coeffs_obj(soup=True)) == EXIT_IO
+
+    def test_soup_mode_rejects_shared_rate_coefficients(self, workspace):
+        assert merge_with_coeffs(workspace, "soup", coeffs_obj()) == EXIT_IO
+
+    def test_missing_logits_is_io_error(self, workspace):
+        obj = coeffs_obj()
+        del obj["logits"]
+        assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
 
 
 class TestPipelineCommands:

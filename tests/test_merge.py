@@ -8,7 +8,6 @@ from xft.merge import (
     EWAConfig,
     MixingCoefficients,
     ewa_beta_at_step,
-    ewa_finalize,
     ewa_step,
     extract_shared_expert,
     init_mixing_coefficients,
@@ -76,6 +75,11 @@ class TestMergeFixed:
         with pytest.raises(ValueError, match="sum to 1"):
             merge_fixed(layer, [0.6, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            merge_fixed(scalar_layer([1.0, 2.0]), [bad, 0.5])
+
     def test_negative_coefficient_rejected(self):
         layer = scalar_layer([1.0, 2.0])
         with pytest.raises(ValueError, match="non-negative"):
@@ -133,6 +137,13 @@ class TestInitMixingCoefficients:
         assert back.lam == coeffs.lam and back.n_experts == 4
         for l in range(2):
             assert np.allclose(back.alphas(l), coeffs.alphas(l), atol=1e-7)
+
+    @pytest.mark.parametrize("edit", [{"logits": None}, {"logits": [["x", 0.0, 0.0]]},
+                                      {"n_experts": "4"}, {"shared_rate": True}])
+    def test_json_ill_typed_field_rejected(self, edit):
+        obj = {**init_mixing_coefficients(4, 1, lam=0.6).to_json_obj(), **edit}
+        with pytest.raises(ValueError, match="wrong types"):
+            MixingCoefficients.from_json_obj(obj)
 
 
 class TestMergeXft:
@@ -367,7 +378,7 @@ class TestEWAFinalize:
     def test_identical_experts_exact(self):
         cfg = small_cfg()
         moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=4), MoEConfig(4, 2), seed=5)
-        dense = ewa_finalize(moe)
+        dense = merge_uniform(moe)
         expected = moe.blocks[0].slot.experts[0].w_up.data
         assert np.allclose(dense.blocks[0].slot.w_up.data, expected, atol=1e-7)
 
