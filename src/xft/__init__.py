@@ -31,11 +31,7 @@ from xft.model import (
 from xft.moe import (
     MoEConfig,
     MoELayer,
-    RouterDecision,
     RoutingRecord,
-    affinity_scores,
-    route_shared_normalized,
-    route_standard,
     upcycle_dense_to_moe,
 )
 from xft.tensor import Tensor, backward, finite_diff_check, no_grad
@@ -46,7 +42,6 @@ from xft.train import (
     TrainHyper,
     TrainingDiverged,
     dataset_loss,
-    fairness_epochs,
     lr_at_step,
     sft_train,
     tokenize_and_mask,
@@ -68,19 +63,16 @@ __all__ = [
     "ModelConfig",
     "MoEConfig",
     "MoELayer",
-    "RouterDecision",
     "RoutingRecord",
     "Tensor",
     "TrainHyper",
     "TrainingDiverged",
     "Transformer",
-    "affinity_scores",
     "attention_forward",
     "backward",
     "build_dense_model",
     "dataset_loss",
     "ensemble_identity_check",
-    "fairness_epochs",
     "ewa_beta_at_step",
     "ewa_step",
     "expert_load_histogram",
@@ -99,8 +91,6 @@ __all__ = [
     "model_forward_loss",
     "no_grad",
     "read_checkpoint_config",
-    "route_shared_normalized",
-    "route_standard",
     "save_checkpoint",
     "save_instruction_dataset",
     "sft_train",

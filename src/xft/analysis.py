@@ -8,7 +8,6 @@ import numpy as np
 
 from xft import tensor as tn
 from xft.model import EVAL_PACK_TOKENS, Transformer, pack_sequences, token_chunks
-from xft.moe import MoEConfig
 
 
 @dataclass
@@ -84,7 +83,7 @@ def expert_load_histogram(model: Transformer, sequences, corpus_label: str = "co
     sequences = list(sequences)
     if not sequences:
         raise ValueError("corpus must be nonempty")
-    cfg: MoEConfig = model.blocks[0].slot.cfg
+    cfg = model.moe_cfg
     counts = np.zeros((len(model.blocks), cfg.n_experts - 1), dtype=np.int64)
     n_tokens = 0
     with tn.no_grad():

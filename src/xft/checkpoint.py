@@ -23,15 +23,8 @@ import tempfile
 
 import numpy as np
 
-from xft.model import (
-    AttentionParams,
-    Block,
-    FFNWeights,
-    LayerNormParams,
-    ModelConfig,
-    Transformer,
-)
-from xft.moe import MoEConfig, MoELayer
+from xft.model import ModelConfig, Transformer, assemble
+from xft.moe import MoEConfig
 from xft.tensor import Tensor
 
 MAGIC = b"XFTC"
@@ -45,7 +38,7 @@ class CheckpointError(Exception):
 
 def save_checkpoint(model: Transformer, path: str, meta: dict | None = None) -> None:
     params = model.named_parameters()
-    moe_cfg = model.blocks[0].slot.cfg.to_dict() if model.is_moe else None
+    moe_cfg = model.moe_cfg.to_dict() if model.is_moe else None
     config = {"model": model.cfg.to_dict(), "moe": moe_cfg, "meta": meta or {}}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -133,36 +126,6 @@ def read_checkpoint_config(path: str) -> dict:
         return _read_config(_Reader(f, path))
 
 
-def _assemble(cfg: ModelConfig, moe_cfg: MoEConfig | None, tensor) -> Transformer:
-    """The model whose parameter named ``name`` is ``tensor(name, shape)``;
-    names follow ``Transformer.named_parameters``."""
-    d, f = cfg.d_model, cfg.d_ff
-
-    def ln(prefix):
-        return LayerNormParams(tensor(f"{prefix}.gain", (d,)), tensor(f"{prefix}.bias", (d,)))
-
-    def ffn(prefix):
-        return FFNWeights(tensor(f"{prefix}.w_up", (d, f)), tensor(f"{prefix}.b_up", (f,)),
-                          tensor(f"{prefix}.w_down", (f, d)), tensor(f"{prefix}.b_down", (d,)))
-
-    blocks = []
-    for i in range(cfg.n_layers):
-        prefix = f"layers.{i}"
-        attn = AttentionParams(**{
-            key: tensor(f"{prefix}.attn.{key}", (d, d) if key[0] == "w" else (d,))
-            for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")})
-        if moe_cfg is None:
-            slot = ffn(f"{prefix}.ffn")
-        else:
-            experts = [ffn(f"{prefix}.moe.experts.{e}") for e in range(moe_cfg.n_experts)]
-            slot = MoELayer(experts, tensor(f"{prefix}.moe.centroids", (moe_cfg.n_experts, d)),
-                            moe_cfg)
-        blocks.append(Block(ln(f"{prefix}.ln1"), attn, slot))
-    return Transformer(cfg, tensor("tok_emb", (cfg.vocab_size, d)),
-                       tensor("pos_emb", (cfg.max_seq_len, d)), blocks, ln("ln_f"),
-                       tensor("unembed", (d, cfg.vocab_size)))
-
-
 def load_checkpoint(path: str) -> Transformer:
     """Reconstruct a dense or MoE model, validating structure throughout."""
     with _open(path) as f:
@@ -214,7 +177,7 @@ def load_checkpoint(path: str) -> Transformer:
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         return Tensor(arr.reshape(dims).astype(np.float32, copy=True), requires_grad=True)
 
-    model = _assemble(model_cfg, moe_cfg, tensor)
+    model = assemble(model_cfg, moe_cfg, tensor)
     if entries:
         raise CheckpointError(
             f"{path!r}: tensor names do not match the declared architecture "

@@ -39,7 +39,6 @@ from xft.train import (
     TrainHyper,
     TrainingDiverged,
     dataset_loss,
-    fairness_epochs,
     sft_train,
     tokenize_and_mask,
 )
@@ -138,8 +137,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("xft", "uniform", "soup", "ewa", "extract-shared"),
                    default="xft")
     p.add_argument("--coeffs", default=None, help="coefficients JSON from learn-merge")
-    p.add_argument("--lambda", dest="shared_rate", type=float, default=DEFAULT_SHARED_RATE,
-                   help="shared rate for initialized coefficients when --coeffs is absent")
+    p.add_argument("--lambda", dest="shared_rate", type=float, default=None,
+                   help=f"shared rate of initialized xft/soup coefficients, without --coeffs "
+                        f"(default {DEFAULT_SHARED_RATE})")
     _add_seed(p)
 
     p = sub.add_parser("eval-loss", help="masked next-token loss over a dataset")
@@ -207,7 +207,7 @@ def cmd_train_sft(args) -> int:
     examples = load_instruction_dataset(args.data)
     epochs = args.epochs
     if epochs is None:
-        epochs = fairness_epochs(MOE_EPOCHS_DEFAULT, MERGE_EPOCHS_DEFAULT) if args.fairness \
+        epochs = MOE_EPOCHS_DEFAULT + MERGE_EPOCHS_DEFAULT if args.fairness \
             else MOE_EPOCHS_DEFAULT
     hyper = _resolve_hyper(args, len(examples), epochs, seed)
     curve = sft_train(model, examples, hyper)
@@ -276,11 +276,15 @@ def cmd_learn_merge(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    if args.mode not in ("xft", "soup") and (args.coeffs or args.shared_rate is not None):
+        raise ValueError(f"--mode {args.mode} takes neither --coeffs nor --lambda")
+    if args.coeffs and args.shared_rate is not None:
+        raise ValueError("--lambda sets initialized coefficients; it cannot go with --coeffs")
+    lam = DEFAULT_SHARED_RATE if args.shared_rate is None else args.shared_rate
     model = load_checkpoint(args.ckpt)
     if not model.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds a dense model; nothing to merge")
-    n_experts = model.blocks[0].slot.cfg.n_experts
-    lam = args.shared_rate
+    n_experts = model.moe_cfg.n_experts
 
     if args.mode in ("xft", "soup"):
         if args.coeffs:

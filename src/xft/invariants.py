@@ -14,7 +14,7 @@ import numpy as np
 from xft import tensor as tn
 from xft.merge import EWA_DEFAULT_BETA, _MergedTrainable, ewa_step, init_mixing_coefficients
 from xft.model import (FFNWeights, ModelConfig, Transformer, attention_forward,
-                       build_dense_model, build_ffn, ffn_forward, model_forward_loss)
+                       build_dense_model, ffn_forward, model_forward_loss)
 from xft.moe import MoEConfig, MoELayer, upcycle_dense_to_moe
 from xft.tensor import Tensor
 
@@ -92,7 +92,7 @@ def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
     rng = np.random.default_rng(seed)
     base = build_dense_model(cfg, seed=seed)
     block = base.blocks[0]
-    layer = MoELayer([block.slot, build_ffn(rng, cfg, std=0.08)],
+    layer = MoELayer([block.slot, build_dense_model(cfg, seed=seed + 1).blocks[0].slot],
                      Tensor(np.zeros((2, cfg.d_model), dtype=np.float32)), MoEConfig(2, 2))
     gates = np.array([1.0 - alpha, alpha], dtype=np.float32)
 

@@ -11,27 +11,26 @@ the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights, Transformer, model_forward_loss
-from xft.moe import MoELayer, SHARED_EXPERT
+from xft.model import FFNWeights, Transformer, assemble, model_forward_loss
+from xft.moe import SHARED_EXPERT, MoELayer
 from xft.tensor import Tensor
 from xft.train import ByteTokenizer, InstructionExample, TrainHyper, pack_batch, sft_train
 
 DEFAULT_SHARED_RATE = 0.75       # 8-expert configuration
-SHARED_RATE_4_EXPERTS = 0.85     # 4-expert configuration
 EWA_DEFAULT_BETA = 0.3
 
 ALPHA_SUM_TOL = 1e-6
 
 
-def _moe_layers(model: Transformer) -> list[MoELayer]:
+def _n_experts(model: Transformer) -> int:
     if not model.is_moe:
         raise ValueError("expected an MoE model")
-    return [block.slot for block in model.blocks]
+    return model.moe_cfg.n_experts
 
 
 class MixingCoefficients:
@@ -129,55 +128,75 @@ def init_mixing_coefficients(n_experts: int, n_layers: int, lam: float,
     return MixingCoefficients(logits, lam, n_experts)
 
 
-def merge_fixed(layer: MoELayer, alpha) -> FFNWeights:
-    """Convex combination of all expert weight sets, tensor by tensor."""
+def _convex(alpha, n_experts: int) -> list[float]:
+    """``alpha`` as Python floats, checked to be n_experts finite,
+    non-negative coefficients that sum to 1."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (layer.cfg.n_experts,):
-        raise ValueError(f"expected {layer.cfg.n_experts} coefficients, got shape {alpha.shape}")
+    if alpha.shape != (n_experts,):
+        raise ValueError(f"expected {n_experts} coefficients, got shape {alpha.shape}")
     if not np.isfinite(alpha).all():
         raise ValueError(f"mixing coefficients must be finite, got {alpha.tolist()}")
     if abs(float(alpha.sum()) - 1.0) >= ALPHA_SUM_TOL:
         raise ValueError(f"mixing coefficients must sum to 1, got {float(alpha.sum())}")
     if (alpha < 0).any():
         raise ValueError("mixing coefficients must be non-negative")
-
-    merged = {}
-    for key in ("w_up", "b_up", "w_down", "b_down"):
-        acc = np.zeros_like(layer.experts[0].tensors()[key].data)
-        for coef, expert in zip(alpha, layer.experts):
-            acc += float(coef) * expert.tensors()[key].data
-        merged[key] = Tensor(acc, requires_grad=True)
-    return FFNWeights(**merged)
+    return alpha.tolist()
 
 
-def _merge_with(model: Transformer, alphas_for_layer: Callable[[int], np.ndarray]) -> Transformer:
-    layers = _moe_layers(model)
-    out = model.copy()
-    for i, block in enumerate(out.blocks):
-        block.slot = merge_fixed(layers[i], alphas_for_layer(i))
-    return out
+def _mix(experts: list[Tensor], coefs) -> Tensor:
+    """Sum of coefs[e] * experts[e]. The sum starts from 0, so a -0.0 weight
+    mixes to +0.0."""
+    return sum((t * c for t, c in zip(experts, coefs)), 0)
+
+
+def _merged(model: Transformer, coefs: list) -> Transformer:
+    """The dense model whose layer-i FFN tensors mix that layer's experts with
+    ``coefs[i]``; every other tensor is the MoE model's own, not a copy."""
+    params = model.named_parameters()
+    n = model.moe_cfg.n_experts
+
+    def tensor(name: str, shape) -> Tensor:
+        layer, ffn, key = name.partition(".ffn.")
+        if not ffn:
+            return params[name]
+        experts = [params[f"{layer}.moe.experts.{e}.{key}"] for e in range(n)]
+        return _mix(experts, coefs[int(layer.split(".")[1])])
+
+    return assemble(model.cfg, None, tensor)
+
+
+def _merge_fixed(model: Transformer, alphas) -> Transformer:
+    """A standalone dense model mixing layer i's experts with ``alphas[i]``."""
+    coefs = [_convex(a, _n_experts(model)) for a in alphas]
+    with tn.no_grad():
+        return _merged(model, coefs).copy(requires_grad=True)
+
+
+def merge_fixed(layer: MoELayer, alpha) -> FFNWeights:
+    """Convex combination of all expert weight sets, tensor by tensor."""
+    coefs = _convex(alpha, layer.cfg.n_experts)
+    with tn.no_grad():
+        mixed = [_mix(ts, coefs) for ts in zip(*(e.tensors().values() for e in layer.experts))]
+    return FFNWeights(*(Tensor(t.data, requires_grad=True) for t in mixed))
 
 
 def merge_xft(model: Transformer, coeffs: MixingCoefficients) -> Transformer:
     """Dense model from the learned mixing coefficients; routers discarded."""
-    layers = _moe_layers(model)
-    if coeffs.n_layers != len(layers):
-        raise ValueError(f"coefficients cover {coeffs.n_layers} layers, model has {len(layers)}")
-    if coeffs.n_experts != layers[0].cfg.n_experts:
+    if coeffs.n_experts != _n_experts(model):
         raise ValueError("coefficient expert count does not match the model")
-    return _merge_with(model, coeffs.alphas)
+    if coeffs.n_layers != len(model.blocks):
+        raise ValueError(f"coefficients cover {coeffs.n_layers} layers, not {len(model.blocks)}")
+    return _merge_fixed(model, [coeffs.alphas(i) for i in range(coeffs.n_layers)])
 
 
 def merge_uniform(model: Transformer) -> Transformer:
-    n = _moe_layers(model)[0].cfg.n_experts
-    return _merge_with(model, lambda _: np.full(n, 1.0 / n))
+    n = _n_experts(model)
+    return _merge_fixed(model, [np.full(n, 1.0 / n)] * model.cfg.n_layers)
 
 
 def extract_shared_expert(model: Transformer) -> Transformer:
-    n = _moe_layers(model)[0].cfg.n_experts
-    one_hot = np.zeros(n)
-    one_hot[SHARED_EXPERT] = 1.0
-    return _merge_with(model, lambda _: one_hot)
+    one_hot = np.eye(_n_experts(model))[SHARED_EXPERT]
+    return _merge_fixed(model, [one_hot] * model.cfg.n_layers)
 
 
 @dataclass
@@ -215,16 +234,13 @@ class _MergedTrainable:
     """Merge-phase adapter: only the mixing logits are trainable.
 
     The MoE model's own tensors are wrapped as frozen views, and every
-    ``batch_loss`` call rebuilds the merged dense weights from the current
+    ``batch_loss`` call mixes the merged dense weights from the current
     logits, so gradients reach the logits and nothing else.
     """
 
-    def __init__(self, model: Transformer, coeffs: MixingCoefficients,
-                 activation: Callable = tn.gelu):
+    def __init__(self, model: Transformer, coeffs: MixingCoefficients):
         self.coeffs = coeffs
-        self.activation = activation
         self._view = model.copy(share_data=True, requires_grad=False)
-        self._frozen_slots: list[MoELayer] = [block.slot for block in self._view.blocks]
 
     @property
     def max_seq_len(self) -> int:
@@ -233,22 +249,10 @@ class _MergedTrainable:
     def named_parameters(self) -> dict[str, Tensor]:
         return {f"layers.{i}.mixing_logits": t for i, t in enumerate(self.coeffs.logits)}
 
-    def _rebuild_merged(self) -> None:
-        for i, layer in enumerate(self._frozen_slots):
-            coefs = self.coeffs.graph_alphas(i)
-            merged = {}
-            for key in ("w_up", "b_up", "w_down", "b_down"):
-                acc = None
-                for coef, expert in zip(coefs, layer.experts):
-                    term = expert.tensors()[key] * coef
-                    acc = term if acc is None else acc + term
-                merged[key] = acc
-            self._view.blocks[i].slot = FFNWeights(**merged)
-
     def batch_loss(self, batch) -> Tensor:
         """Task loss of the (tokens, mask) examples through the merged model."""
-        self._rebuild_merged()
-        return model_forward_loss(self._view, *pack_batch(batch))[1]
+        coefs = [self.coeffs.graph_alphas(i) for i in range(self.coeffs.n_layers)]
+        return model_forward_loss(_merged(self._view, coefs), *pack_batch(batch))[1]
 
 
 def learn_mixing_coefficients(model: Transformer, examples: Sequence[InstructionExample],
@@ -262,8 +266,7 @@ def learn_mixing_coefficients(model: Transformer, examples: Sequence[Instruction
     and takes the task loss through it. Returns the trained coefficients and
     the loss curve; the MoE model itself is untouched.
     """
-    layers = _moe_layers(model)
-    coeffs = init_mixing_coefficients(layers[0].cfg.n_experts, len(layers), lam,
+    coeffs = init_mixing_coefficients(_n_experts(model), model.cfg.n_layers, lam,
                                       unconstrained=unconstrained)
     trainable = _MergedTrainable(model, coeffs)
     curve = sft_train(trainable, examples, hyper, tokenizer, post_step=post_step)

@@ -168,6 +168,11 @@ class Transformer:
     def is_moe(self) -> bool:
         return not isinstance(self.blocks[0].slot, FFNWeights)
 
+    @property
+    def moe_cfg(self):
+        """The MoE layers' ``MoEConfig``; None for a dense model."""
+        return self.blocks[0].slot.cfg if self.is_moe else None
+
     def _check_tokens(self, tokens, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Validated (token ids, positions, bounds); positions restart per segment."""
         idx = np.asarray(tokens, dtype=np.intp)
@@ -231,8 +236,10 @@ class Transformer:
     def copy(self, dtype=None, share_data: bool = False, requires_grad: bool | None = None) -> "Transformer":
         """Structural copy. ``share_data`` aliases the underlying buffers
         (used to build frozen views); otherwise buffers are copied."""
+        params = self.named_parameters()
 
-        def conv(t: Tensor) -> Tensor:
+        def conv(name: str, shape) -> Tensor:
+            t = params[name]
             data = t.data
             if dtype is not None:
                 data = data.astype(dtype)
@@ -241,62 +248,58 @@ class Transformer:
             rg = t.requires_grad if requires_grad is None else requires_grad
             return Tensor(data, requires_grad=rg)
 
-        def copy_ln(ln: LayerNormParams) -> LayerNormParams:
-            return LayerNormParams(conv(ln.gain), conv(ln.bias))
-
-        blocks = []
-        for block in self.blocks:
-            attn = AttentionParams(**{k: conv(v) for k, v in vars(block.attn).items()})
-            if isinstance(block.slot, FFNWeights):
-                slot = FFNWeights(**{k: conv(v) for k, v in block.slot.tensors().items()})
-            else:
-                slot = block.slot.copy(conv)
-            blocks.append(Block(copy_ln(block.ln1), attn, slot))
-        return Transformer(self.cfg, conv(self.tok_emb), conv(self.pos_emb),
-                           blocks, copy_ln(self.ln_f), conv(self.unembed))
+        return assemble(self.cfg, self.moe_cfg, conv)
 
 
-def _param(rng: np.random.Generator, shape, std: float) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32), requires_grad=True)
+def assemble(cfg: ModelConfig, moe_cfg, tensor) -> Transformer:
+    """The model whose parameter named ``name`` is ``tensor(name, shape)``, with
+    names as in ``Transformer.named_parameters``: the one place that nests
+    tensors into blocks and slots. Seeded rules draw in request order: per layer
+    attention, slot, ln1; then tok_emb, pos_emb, ln_f, unembed."""
+    from xft.moe import MoELayer  # xft.moe imports this module
 
+    d, f = cfg.d_model, cfg.d_ff
 
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+    def ln(prefix):
+        return LayerNormParams(tensor(f"{prefix}.gain", (d,)), tensor(f"{prefix}.bias", (d,)))
 
+    def ffn(prefix):
+        return FFNWeights(tensor(f"{prefix}.w_up", (d, f)), tensor(f"{prefix}.b_up", (f,)),
+                          tensor(f"{prefix}.w_down", (f, d)), tensor(f"{prefix}.b_down", (d,)))
 
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-
-def build_ffn(rng: np.random.Generator, cfg: ModelConfig, std: float) -> FFNWeights:
-    return FFNWeights(
-        w_up=_param(rng, (cfg.d_model, cfg.d_ff), std),
-        b_up=_zeros(cfg.d_ff),
-        w_down=_param(rng, (cfg.d_ff, cfg.d_model), std),
-        b_down=_zeros(cfg.d_model),
-    )
+    blocks = []
+    for i in range(cfg.n_layers):
+        prefix = f"layers.{i}"
+        attn = AttentionParams(**{
+            key: tensor(f"{prefix}.attn.{key}", (d, d) if key[0] == "w" else (d,))
+            for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")})
+        if moe_cfg is None:
+            slot = ffn(f"{prefix}.ffn")
+        else:
+            experts = [ffn(f"{prefix}.moe.experts.{e}") for e in range(moe_cfg.n_experts)]
+            slot = MoELayer(experts, tensor(f"{prefix}.moe.centroids", (moe_cfg.n_experts, d)),
+                            moe_cfg)
+        blocks.append(Block(ln(f"{prefix}.ln1"), attn, slot))
+    return Transformer(cfg, tensor("tok_emb", (cfg.vocab_size, d)),
+                       tensor("pos_emb", (cfg.max_seq_len, d)), blocks, ln("ln_f"),
+                       tensor("unembed", (d, cfg.vocab_size)))
 
 
 def build_dense_model(cfg: ModelConfig, seed: int = 0, init_std: float = 0.08) -> Transformer:
+    """Weights drawn from N(0, init_std) under ``seed``; gains 1, biases 0."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(cfg.n_layers):
-        ln1 = LayerNormParams(_ones(cfg.d_model), _zeros(cfg.d_model))
-        attn = AttentionParams(
-            wq=_param(rng, (cfg.d_model, cfg.d_model), init_std), bq=_zeros(cfg.d_model),
-            wk=_param(rng, (cfg.d_model, cfg.d_model), init_std), bk=_zeros(cfg.d_model),
-            wv=_param(rng, (cfg.d_model, cfg.d_model), init_std), bv=_zeros(cfg.d_model),
-            wo=_param(rng, (cfg.d_model, cfg.d_model), init_std), bo=_zeros(cfg.d_model),
-        )
-        blocks.append(Block(ln1, attn, build_ffn(rng, cfg, init_std)))
-    return Transformer(
-        cfg,
-        tok_emb=_param(rng, (cfg.vocab_size, cfg.d_model), init_std),
-        pos_emb=_param(rng, (cfg.max_seq_len, cfg.d_model), init_std),
-        blocks=blocks,
-        ln_f=LayerNormParams(_ones(cfg.d_model), _zeros(cfg.d_model)),
-        unembed=_param(rng, (cfg.d_model, cfg.vocab_size), init_std),
-    )
+
+    def tensor(name: str, shape) -> Tensor:
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gain":
+            data = np.ones(shape)
+        elif leaf[0] == "b":
+            data = np.zeros(shape)
+        else:
+            data = rng.normal(0.0, init_std, size=shape)
+        return Tensor(data.astype(np.float32), requires_grad=True)
+
+    return assemble(cfg, None, tensor)
 
 
 def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,

@@ -1,8 +1,8 @@
 """Shared-expert MoE layer and the dense-to-MoE upcycling transform.
 
 Expert 0 is the shared expert: it is deterministically selected for every
-token and excluded from the router competition (its affinity is a -inf
-sentinel). The remaining "normal" experts compete through a softmax over
+token and excluded from the router competition (its centroid row is never
+scored). The remaining "normal" experts compete through a softmax over
 router-centroid dot products. With routing weight normalization enabled, the
 selected gates always sum to 1, so an upcycled layer whose experts are
 copies of the original FFN reproduces the dense layer's output exactly.
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights, Transformer, ffn_forward
+from xft.model import FFNWeights, Transformer, assemble, ffn_forward
 from xft.tensor import Tensor
 
 SHARED_EXPERT = 0
@@ -62,21 +62,6 @@ class MoEConfig:
         )
 
 
-@dataclass
-class RouterDecision:
-    """One token's routing outcome, as returned by the reference routers.
-
-    ``scores`` holds the normal experts' affinities (softmax outputs), indexed
-    by expert - 1. ``selected`` lists expert indices, shared expert first,
-    normal experts in descending affinity; ``gates`` aligns with it.
-    """
-
-    scores: np.ndarray | None
-    s_max: float
-    selected: list[int]
-    gates: np.ndarray
-
-
 class RoutingRecord:
     """One ``MoELayer.forward`` call's routing, as arrays over its T tokens.
 
@@ -91,11 +76,6 @@ class RoutingRecord:
         self.selected = selected
         self.gates = gates
         self.scores = scores
-
-
-def _ranked_indices(scores_row: np.ndarray) -> np.ndarray:
-    """Descending-score order; ties resolve toward the lower index."""
-    return np.argsort(-scores_row, kind="stable")
 
 
 class MoELayer:
@@ -115,10 +95,6 @@ class MoELayer:
         for i, expert in enumerate(self.experts):
             for name, tensor in expert.tensors().items():
                 yield f"experts.{i}.{name}", tensor
-
-    def copy(self, conv: Callable[[Tensor], Tensor]) -> "MoELayer":
-        experts = [FFNWeights(**{k: conv(v) for k, v in e.tensors().items()}) for e in self.experts]
-        return MoELayer(experts, conv(self.centroids), self.cfg)
 
     def normal_affinities(self, u: Tensor) -> Tensor:
         """Softmax affinities of the normal experts, [T, N-1], gradient-tracked."""
@@ -184,73 +160,6 @@ class MoELayer:
         return h, record
 
 
-def affinity_scores(u, layer: MoELayer) -> np.ndarray:
-    """Per-expert affinities with a -inf sentinel in the shared slot.
-
-    The sentinel keeps the shared expert out of top-k and max; normal experts
-    get the softmax of their centroid dot products. Accepts [d] or [T, d].
-    """
-    arr = u.data if isinstance(u, Tensor) else np.asarray(u, dtype=np.float32)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    with tn.no_grad():
-        normal = layer.normal_affinities(Tensor(arr)).data
-    out = np.full((arr.shape[0], layer.cfg.n_experts), -np.inf, dtype=normal.dtype)
-    out[:, 1:] = normal
-    return out[0] if single else out
-
-
-def route_standard(s: np.ndarray, k: int) -> RouterDecision:
-    """Top-k routing with raw softmax gates (no shared expert).
-
-    ``s`` is the plain softmax over all experts; the selected gates are the
-    raw scores, so their sum is generally below 1.
-    """
-    s = np.asarray(s)
-    if k > s.shape[0]:
-        raise ValueError(f"top_k {k} exceeds expert count {s.shape[0]}")
-    ranked = _ranked_indices(s)[:k]
-    return RouterDecision(
-        scores=s.copy(),
-        s_max=float(s[ranked[0]]),
-        selected=[int(i) for i in ranked],
-        gates=s[ranked].copy(),
-    )
-
-
-def route_shared_normalized(s: np.ndarray, k: int, normalized: bool = True) -> RouterDecision:
-    """Shared-expert routing over an affinity vector from ``affinity_scores``.
-
-    The shared expert (slot 0, -inf sentinel) is always selected with gate
-    1 - s_max. The top k-1 normal experts get softmax-normalized gates scaled
-    by s_max, so all selected gates sum to 1; with ``normalized`` off, the
-    raw affinities are used instead and the sum constraint is dropped.
-    """
-    s = np.asarray(s)
-    n = s.shape[0]
-    if k < 2:
-        raise ValueError("top_k must be at least 2 (shared plus one normal expert)")
-    if k - 1 > n - 1:
-        raise ValueError(f"top_k-1 = {k - 1} exceeds normal expert count {n - 1}")
-    normal = s[1:]
-    ranked = _ranked_indices(normal)
-    sel = ranked[: k - 1]
-    s_max = float(normal[ranked[0]])
-    picked = normal[sel].astype(np.float64)
-    if normalized:
-        e = np.exp(picked - picked.max())
-        normal_gates = (e / e.sum()) * s_max
-    else:
-        normal_gates = picked
-    return RouterDecision(
-        scores=normal.copy(),
-        s_max=s_max,
-        selected=[SHARED_EXPERT] + [int(i) + 1 for i in sel],
-        gates=np.concatenate(([1.0 - s_max], normal_gates)),
-    )
-
-
 def upcycle_dense_to_moe(dense: Transformer, cfg: MoEConfig, seed: int = 0) -> Transformer:
     """Replace every FFN slot with an MoE layer of N identical expert copies.
 
@@ -260,19 +169,14 @@ def upcycle_dense_to_moe(dense: Transformer, cfg: MoEConfig, seed: int = 0) -> T
     if dense.is_moe:
         raise ValueError("upcycle input must be a dense model")
     rng = np.random.default_rng(seed)
-    d_model = dense.cfg.d_model
+    params = dense.named_parameters()
 
-    out = dense.copy()
-    for block in out.blocks:
-        ffn: FFNWeights = block.slot
-        experts = [
-            FFNWeights(**{k: Tensor(v.data.copy(), requires_grad=True)
-                          for k, v in ffn.tensors().items()})
-            for _ in range(cfg.n_experts)
-        ]
-        centroids = Tensor(
-            rng.normal(0.0, cfg.router_init_std, size=(cfg.n_experts, d_model)).astype(np.float32),
-            requires_grad=True,
-        )
-        block.slot = MoELayer(experts, centroids, cfg)
-    return out
+    def tensor(name: str, shape) -> Tensor:
+        if name.endswith(".centroids"):
+            data = rng.normal(0.0, cfg.router_init_std, size=shape).astype(np.float32)
+        else:  # layers.i.moe.experts.e.k copies layers.i.ffn.k
+            layer, expert, key = name.partition(".moe.experts.")
+            data = params[f"{layer}.ffn.{key.split('.')[1]}" if expert else name].data.copy()
+        return Tensor(data, requires_grad=True)
+
+    return assemble(dense.cfg, cfg, tensor)

@@ -50,18 +50,6 @@ class TrainHyper:
             raise ValueError("epochs and warmup_steps must be non-negative")
 
 
-# Hyperparameters of the reference billion-parameter runs this pipeline
-# mirrors; the CLI defaults are desk-scale versions of the same ratios.
-REFERENCE_SFT_HYPER = TrainHyper(batch_size=64, peak_lr=5e-5, warmup_steps=500, epochs=4)
-REFERENCE_MERGE_HYPER = TrainHyper(batch_size=64, peak_lr=1e-5, warmup_steps=125, epochs=1)
-REFERENCE_BASELINE_HYPER = TrainHyper(batch_size=64, peak_lr=5e-5, warmup_steps=625, epochs=5)
-
-
-def fairness_epochs(moe_epochs: int, merge_epochs: int) -> int:
-    """Dense-baseline budget: the MoE and merge phases' epochs combined."""
-    return moe_epochs + merge_epochs
-
-
 def lr_at_step(step: int, hyper: TrainHyper, total_steps: int) -> float:
     """Linear ramp 0 -> peak over warmup, then linear decay peak -> 0."""
     if not 0 <= step <= total_steps:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_smoke_corpus, symmetric_router_model
+from oracles import route_shared_normalized, route_standard
 from xft import tensor as tn
 from xft.analysis import expert_load_histogram
 from xft.checkpoint import load_checkpoint
@@ -35,7 +36,7 @@ from xft.merge import (
     merge_xft,
 )
 from xft.model import FFNWeights, ModelConfig, build_dense_model
-from xft.moe import MoEConfig, MoELayer, route_shared_normalized, route_standard, upcycle_dense_to_moe
+from xft.moe import MoEConfig, MoELayer, upcycle_dense_to_moe
 from xft.tensor import Tensor
 from xft.train import TrainHyper, dataset_loss
 

@@ -74,14 +74,16 @@ class TestIOErrors:
                    "--out", str(tmp_path / "x.xftc")) == EXIT_IO
 
 
-def merge_with_coeffs(workspace, mode, obj) -> int:
-    """Exit code of ``merge --coeffs`` on the JSON ``obj``; asserts no output."""
+def merge_with_coeffs(workspace, mode, obj, *flags) -> int:
+    """Exit code of ``merge`` with ``flags`` and ``--coeffs`` on the JSON
+    ``obj`` (no ``--coeffs`` when ``obj`` is None); asserts no output."""
     tmp_path, dense, _ = workspace
     moe, coeffs, out = (tmp_path / name for name in ("moe.xftc", "c.json", "merged.xftc"))
     run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "3")
-    coeffs.write_text(json.dumps(obj))
-    code = run("merge", "--ckpt", str(moe), "--out", str(out), "--mode", mode,
-               "--coeffs", str(coeffs))
+    if obj is not None:
+        coeffs.write_text(json.dumps(obj))
+        flags += ("--coeffs", str(coeffs))
+    code = run("merge", "--ckpt", str(moe), "--out", str(out), "--mode", mode, *flags)
     assert not out.exists()
     return code
 
@@ -106,6 +108,21 @@ class TestCoefficientFiles:
         obj = coeffs_obj()
         del obj["logits"]
         assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
+
+    # --coeffs goes only with xft/soup; --lambda only with xft/soup and no --coeffs
+    @pytest.mark.parametrize("mode, obj, flags", [
+        ("uniform", coeffs_obj(), ()),
+        ("ewa", coeffs_obj(), ()),
+        ("extract-shared", None, ("--coeffs", "/nonexistent/coeffs.json")),
+        ("xft", coeffs_obj(), ("--lambda", "0.5")),
+        ("soup", coeffs_obj(soup=True), ("--lambda", "0.5")),
+        ("uniform", None, ("--lambda", "0.5")),
+        ("ewa", None, ("--lambda", "0.75")),
+        ("extract-shared", None, ("--lambda", "0.5")),
+    ], ids=["uniform-coeffs", "ewa-coeffs", "extract-shared-missing-coeffs", "xft-coeffs-lambda",
+            "soup-coeffs-lambda", "uniform-lambda", "ewa-lambda", "extract-shared-lambda"])
+    def test_flag_the_mode_ignores_is_io_error(self, workspace, mode, obj, flags):
+        assert merge_with_coeffs(workspace, mode, obj, *flags) == EXIT_IO
 
 
 class TestPipelineCommands:

@@ -369,9 +369,8 @@ class TestEWA:
 
 class TestSharedRateConstants:
     def test_reference_shared_rates(self):
-        from xft.merge import DEFAULT_SHARED_RATE, SHARED_RATE_4_EXPERTS
+        from xft.merge import DEFAULT_SHARED_RATE
         assert DEFAULT_SHARED_RATE == 0.75     # 8-expert configuration
-        assert SHARED_RATE_4_EXPERTS == 0.85   # 4-expert configuration
 
 
 class TestEWAFinalize:

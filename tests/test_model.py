@@ -1,5 +1,6 @@
 """Transformer backbone: FFN, causal attention, loss, greedy decoding."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from xft.model import (
     generate_greedy,
     model_forward_loss,
 )
+from xft.merge import extract_shared_expert, init_mixing_coefficients, merge_uniform, merge_xft
+from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.tensor import Tensor
 
 
@@ -315,3 +318,42 @@ class TestCopy:
         model = build_dense_model(small_cfg(), seed=2)
         wide = model.copy(dtype=np.float64)
         assert wide.tok_emb.data.dtype == np.float64
+
+
+class TestSeededConstructorBytes:
+    """Digests of every tensor the seeded constructors build, recorded before
+    they shared one assembler. They pin the order in which the assembler
+    requests tensors (seeded draws follow it) and that a merge sums from 0
+    (so a -0.0 expert weight merges to +0.0). No BLAS call is involved."""
+
+    PINNED = {
+        "dense": "1c0bbe46dc0e61119d88621ad13b131bef711943a37666557b739fe1042832ba",
+        "upcycle": "d5b00aee9bda92965a0c715d4f99c63797e2e81156ded1680ddba4da7cb44b3c",
+        "uniform": "f4e60d4a706e124a58e8ae5eff8bedb74eb5ea6c84628504f892804fb1a8b1e8",
+        "extract-shared": "2968c2a076c2ba8b2bc4739df6916664b0d853b15790b4e8e0d64eac69aa2951",
+        "xft": "7e5d0a92f1bc8157ecb1ed858e4273d1a291a2fff9b218e3adf955bcd1ba5bc4",
+    }
+
+    @staticmethod
+    def digest(model) -> str:
+        h = hashlib.sha256()
+        for name, t in model.named_parameters().items():
+            h.update(f"{name}{t.shape}{t.data.dtype}".encode())
+            h.update(t.data.tobytes())
+        return h.hexdigest()
+
+    def test_digests_match_the_recorded_ones(self):
+        cfg = small_cfg(d_model=8, d_ff=12, max_seq_len=6)
+        dense = build_dense_model(cfg, seed=7)
+        moe = upcycle_dense_to_moe(dense, MoEConfig(4, 3), seed=8)
+        got = {"dense": self.digest(dense), "upcycle": self.digest(moe)}
+        rng = np.random.default_rng(9)
+        for block in moe.blocks:
+            for expert in block.slot.experts:
+                for t in expert.tensors().values():
+                    t.data += (0.05 * rng.normal(size=t.shape)).astype(np.float32)
+                expert.w_up.data[0] = -0.0
+        got["uniform"] = self.digest(merge_uniform(moe))
+        got["extract-shared"] = self.digest(extract_shared_expert(moe))
+        got["xft"] = self.digest(merge_xft(moe, init_mixing_coefficients(4, cfg.n_layers, 0.75)))
+        assert got == self.PINNED

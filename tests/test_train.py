@@ -9,12 +9,8 @@ from xft.train import (
     AdamW,
     ByteTokenizer,
     InstructionExample,
-    REFERENCE_BASELINE_HYPER,
-    REFERENCE_MERGE_HYPER,
-    REFERENCE_SFT_HYPER,
     TrainHyper,
     TrainingDiverged,
-    fairness_epochs,
     lr_at_step,
     sft_train,
     tokenize_and_mask,
@@ -164,23 +160,6 @@ class TestTokenizeAndMask:
             InstructionExample("  ", "ok")
         with pytest.raises(ValueError, match="nonempty"):
             InstructionExample("ok", "\n")
-
-
-class TestBudgetAccounting:
-    def test_fairness_epochs(self):
-        assert fairness_epochs(4, 1) == 5
-
-    def test_reference_hyperparameters(self):
-        assert REFERENCE_SFT_HYPER.batch_size == 64
-        assert REFERENCE_SFT_HYPER.peak_lr == 5e-5
-        assert REFERENCE_SFT_HYPER.warmup_steps == 500
-        assert REFERENCE_SFT_HYPER.epochs == 4
-        assert REFERENCE_MERGE_HYPER.peak_lr == 1e-5
-        assert REFERENCE_MERGE_HYPER.warmup_steps == 125
-        assert REFERENCE_MERGE_HYPER.epochs == 1
-        assert REFERENCE_BASELINE_HYPER.epochs == fairness_epochs(
-            REFERENCE_SFT_HYPER.epochs, REFERENCE_MERGE_HYPER.epochs)
-        assert REFERENCE_BASELINE_HYPER.warmup_steps == 625
 
 
 class TestSFTTrain:
