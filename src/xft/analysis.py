@@ -9,6 +9,8 @@ import numpy as np
 from xft import tensor as tn
 from xft.model import EVAL_PACK_TOKENS, Transformer, pack_sequences, token_chunks
 
+RENDER_WIDTH = 50  # bar characters at the largest share
+
 
 @dataclass
 class ExpertLoadReport:
@@ -57,11 +59,11 @@ class ExpertLoadReport:
             "rows": self.rows(),
         }
 
-    def render(self, width: int = 50) -> str:
+    def render(self) -> str:
         """Text bar chart with the 1/(N-1) uniform reference marked."""
         props = self.proportions()
         uniform = self.uniform_reference
-        scale = width / max(float(props.max()), uniform, 1e-9)
+        scale = RENDER_WIDTH / max(float(props.max()), uniform, 1e-9)
         ruler_pos = int(round(uniform * scale))
         lines = [f"routing assignments on {self.corpus!r} "
                  f"({self.n_tokens} tokens, top {self.top_k} of {self.n_experts})"]
@@ -70,7 +72,7 @@ class ExpertLoadReport:
             for expert in range(self.n_experts - 1):
                 p = float(props[layer, expert])
                 bar = "#" * int(round(p * scale))
-                lines.append(f"  expert {expert + 1} |{bar:<{width}}| "
+                lines.append(f"  expert {expert + 1} |{bar:<{RENDER_WIDTH}}| "
                              f"{p:.4f} ({int(self.counts[layer, expert])})")
             lines.append(f"  uniform  |{' ' * max(ruler_pos - 1, 0)}^")
         return "\n".join(lines)

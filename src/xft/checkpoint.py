@@ -17,6 +17,7 @@ identical models and metadata produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -47,6 +48,8 @@ def save_checkpoint(model: Transformer, path: str, meta: dict | None = None) -> 
     for name, p in params.items():
         if p.data.dtype != np.float32:
             raise CheckpointError(f"parameter {name!r} is {p.data.dtype}, checkpoints hold float32")
+        if not np.isfinite(p.data).all():
+            raise CheckpointError(f"parameter {name!r} holds non-finite values")
         raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
         encoded = name.encode("utf-8")
         directory += struct.pack("<Q", len(encoded)) + encoded
@@ -140,7 +143,10 @@ def load_checkpoint(path: str) -> Transformer:
         n_tensors = r.u64("tensor count")
         entries: dict[str, tuple[tuple[int, ...], int]] = {}
         for i in range(n_tensors):
-            name = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
+            try:
+                name = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path!r}: tensor {i} name is not UTF-8: {e}") from e
             dtype_code, rank = struct.unpack("<BB", r.take(2, f"{name} dtype/rank"))
             if dtype_code != DTYPE_FLOAT32:
                 raise CheckpointError(f"{path!r}: tensor {name!r} has unknown dtype code {dtype_code}")
@@ -154,7 +160,7 @@ def load_checkpoint(path: str) -> Transformer:
 
     spans = []
     for name, (dims, offset) in entries.items():
-        nbytes = int(np.prod(dims, dtype=np.int64)) * 4 if dims else 4
+        nbytes = math.prod(dims) * 4
         if offset + nbytes > data_len:
             raise CheckpointError(
                 f"{path!r}: tensor {name!r} spans [{offset}, {offset + nbytes}) "
@@ -173,8 +179,9 @@ def load_checkpoint(path: str) -> Transformer:
         dims, offset = entries.pop(name)
         if dims != shape:
             raise CheckpointError(f"{path!r}: tensor {name!r} has shape {dims}, expected {shape}")
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(data, dtype="<f4", count=math.prod(dims), offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path!r}: tensor {name!r} holds non-finite values")
         return Tensor(arr.reshape(dims).astype(np.float32, copy=True), requires_grad=True)
 
     model = assemble(model_cfg, moe_cfg, tensor)

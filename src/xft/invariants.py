@@ -84,16 +84,16 @@ def gradient_check(cfg: ModelConfig, tokens, mask, seed: int,
 
 def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
                             seq_len: int = 8) -> float:
-    """Max logit deviation between a one-layer model whose two experts always
-    get the gates (1 - alpha, alpha) and the same gate-weighted sum of the two
-    one-expert dense models' logits; the unembedding follows the MoE directly."""
+    """Max logit deviation between a one-layer model whose FFN output is the
+    fixed-gate mix u + (1 - alpha) * expert_0(u) + alpha * expert_1(u) and the
+    same gate-weighted sum of the two one-expert dense models' logits; the
+    unembedding follows the mix directly."""
     cfg = ModelConfig(vocab_size=23, d_model=16, n_layers=1, n_heads=2, d_ff=24,
                       max_seq_len=max(seq_len, 2))
     rng = np.random.default_rng(seed)
     base = build_dense_model(cfg, seed=seed)
     block = base.blocks[0]
-    layer = MoELayer([block.slot, build_dense_model(cfg, seed=seed + 1).blocks[0].slot],
-                     Tensor(np.zeros((2, cfg.d_model), dtype=np.float32)), MoEConfig(2, 2))
+    experts = [block.slot, build_dense_model(cfg, seed=seed + 1).blocks[0].slot]
     gates = np.array([1.0 - alpha, alpha], dtype=np.float32)
 
     worst = 0.0
@@ -104,11 +104,11 @@ def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
                 base.pos_emb, np.arange(seq_len))
             u = attention_forward(x, block, cfg)
 
-            h_moe, _ = layer.forward(u, router_override=([0, 1], gates))
+            h_moe = sum((ffn_forward(u, e) * float(g) for g, e in zip(gates, experts)), u)
             logits_moe = (h_moe @ base.unembed).data
 
             ensemble = np.zeros_like(logits_moe)
-            for gate, expert in zip(gates, layer.experts):
+            for gate, expert in zip(gates, experts):
                 h = u + ffn_forward(u, expert)
                 ensemble += gate * (h @ base.unembed).data
             worst = max(worst, float(np.abs(logits_moe - ensemble).max()))

@@ -19,7 +19,7 @@ from xft import tensor as tn
 from xft.model import FFNWeights, Transformer, assemble, model_forward_loss
 from xft.moe import SHARED_EXPERT, MoELayer
 from xft.tensor import Tensor
-from xft.train import ByteTokenizer, InstructionExample, TrainHyper, pack_batch, sft_train
+from xft.train import InstructionExample, TrainHyper, pack_batch, sft_train
 
 DEFAULT_SHARED_RATE = 0.75       # 8-expert configuration
 EWA_DEFAULT_BETA = 0.3
@@ -76,7 +76,7 @@ class MixingCoefficients:
         gradient-tracked Tensor, except the pinned shared coefficient in
         constrained mode, which is the plain float lam.
         """
-        sm = tn.softmax(self.logits[layer], axis=-1)
+        sm = tn.softmax(self.logits[layer])
         if self.lam is None:
             return [tn.gather_rows(sm, [i]) for i in range(self.n_experts)]
         coefs: list = [self.lam]
@@ -257,7 +257,6 @@ class _MergedTrainable:
 
 def learn_mixing_coefficients(model: Transformer, examples: Sequence[InstructionExample],
                               lam: float, hyper: TrainHyper,
-                              tokenizer: ByteTokenizer | None = None,
                               unconstrained: bool = False,
                               post_step=None) -> tuple[MixingCoefficients, list[float]]:
     """Gradient descent on the mixing logits only; experts stay frozen.
@@ -269,5 +268,5 @@ def learn_mixing_coefficients(model: Transformer, examples: Sequence[Instruction
     coeffs = init_mixing_coefficients(_n_experts(model), model.cfg.n_layers, lam,
                                       unconstrained=unconstrained)
     trainable = _MergedTrainable(model, coeffs)
-    curve = sft_train(trainable, examples, hyper, tokenizer, post_step=post_step)
+    curve = sft_train(trainable, examples, hyper, post_step=post_step)
     return coeffs, curve

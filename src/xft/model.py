@@ -128,6 +128,7 @@ def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None) ->
 
 # Rows per packed forward when scoring a dataset: bounds memory on large inputs.
 EVAL_PACK_TOKENS = 512
+INIT_STD = 0.08  # standard deviation of every initial weight matrix and embedding
 
 
 def pack_sequences(sequences) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +229,6 @@ class Transformer:
         params["unembed"] = self.unembed
         return params
 
-    def theta_o_names(self) -> list[str]:
-        """Names of all parameters outside the feed-forward slots."""
-        return [n for n in self.named_parameters()
-                if ".ffn." not in n and ".moe." not in n]
-
     def copy(self, dtype=None, share_data: bool = False, requires_grad: bool | None = None) -> "Transformer":
         """Structural copy. ``share_data`` aliases the underlying buffers
         (used to build frozen views); otherwise buffers are copied."""
@@ -285,8 +281,8 @@ def assemble(cfg: ModelConfig, moe_cfg, tensor) -> Transformer:
                        tensor("unembed", (d, cfg.vocab_size)))
 
 
-def build_dense_model(cfg: ModelConfig, seed: int = 0, init_std: float = 0.08) -> Transformer:
-    """Weights drawn from N(0, init_std) under ``seed``; gains 1, biases 0."""
+def build_dense_model(cfg: ModelConfig, seed: int = 0) -> Transformer:
+    """Weights drawn from N(0, INIT_STD) under ``seed``; gains 1, biases 0."""
     rng = np.random.default_rng(seed)
 
     def tensor(name: str, shape) -> Tensor:
@@ -296,7 +292,7 @@ def build_dense_model(cfg: ModelConfig, seed: int = 0, init_std: float = 0.08) -
         elif leaf[0] == "b":
             data = np.zeros(shape)
         else:
-            data = rng.normal(0.0, init_std, size=shape)
+            data = rng.normal(0.0, INIT_STD, size=shape)
         return Tensor(data.astype(np.float32), requires_grad=True)
 
     return assemble(cfg, None, tensor)
@@ -336,7 +332,7 @@ def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,
         weights = target_mask / np.repeat(n_targets * n_targets.size, np.diff(in_bounds))
 
     logits = model.logits(tokens[is_input], in_bounds)
-    logp = tn.log_softmax(logits, axis=-1)
+    logp = tn.log_softmax(logits)
     picked = tn.take_along_rows(logp, tokens[is_target][:, None])
     loss = -(picked * Tensor(weights[:, None].astype(logits.data.dtype))).sum()
     return logits, loss

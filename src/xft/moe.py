@@ -12,8 +12,8 @@ Expert indices are 0-based here; the shared expert is index 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,8 +41,9 @@ class MoEConfig:
             raise ValueError(
                 f"top_k must lie in [2, n_experts={self.n_experts}], got {self.top_k}"
             )
-        if self.router_init_std <= 0:
-            raise ValueError("router_init_std must be positive")
+        if not 0 < self.router_init_std < math.inf:
+            raise ValueError(
+                f"router_init_std must be positive and finite, got {self.router_init_std}")
 
     def to_dict(self) -> dict:
         return {
@@ -99,29 +100,12 @@ class MoELayer:
     def normal_affinities(self, u: Tensor) -> Tensor:
         """Softmax affinities of the normal experts, [T, N-1], gradient-tracked."""
         normal_centroids = tn.gather_rows(self.centroids, np.arange(1, self.cfg.n_experts))
-        return tn.softmax(u @ normal_centroids.transpose(), axis=-1)
+        return tn.softmax(u @ normal_centroids.transpose())
 
-    def forward(self, u: Tensor, activation: Callable = tn.gelu,
-                router_override: tuple[list[int], np.ndarray] | None = None):
+    def forward(self, u: Tensor):
         """Weighted sum of the selected experts' outputs plus the residual u,
-        and the ``RoutingRecord`` of the call.
-
-        ``router_override`` bypasses the router with fixed (selected experts,
-        gates); gates may be [K] (constant across tokens) or [T, K]. That path
-        records no routing and returns an empty list in its place.
-        """
+        and the ``RoutingRecord`` of the call."""
         t = u.shape[0]
-        if router_override is not None:
-            selected, gates = router_override
-            gates = np.asarray(gates, dtype=u.data.dtype)
-            if gates.ndim == 1:
-                gates = np.broadcast_to(gates, (t, gates.shape[0]))
-            h = u
-            for j, e in enumerate(selected):
-                col = Tensor(np.ascontiguousarray(gates[:, j:j + 1]))
-                h = h + ffn_forward(u, self.experts[e], activation) * col
-            return h, []
-
         r = self.cfg.top_k - 1                    # normal-expert slots per token
         scores = self.normal_affinities(u)        # [T, N-1]
         sd = scores.data
@@ -132,11 +116,11 @@ class MoELayer:
         shared_gate = 1.0 - s_max                               # [T, 1]
         picked = tn.take_along_rows(scores, sel)                # [T, K-1]
         if self.cfg.normalization_enabled:
-            normal_gates = tn.softmax(picked, axis=-1) * s_max
+            normal_gates = tn.softmax(picked) * s_max
         else:
             normal_gates = picked  # raw affinities: gate sum is not constrained
 
-        h = u + ffn_forward(u, self.experts[SHARED_EXPERT], activation) * shared_gate
+        h = u + ffn_forward(u, self.experts[SHARED_EXPERT]) * shared_gate
 
         # Dropless grouped dispatch: sort the T*(K-1) (token, slot) pairs by
         # expert, run each expert once on its contiguous block of rows, and
@@ -147,7 +131,7 @@ class MoELayer:
         ends = np.cumsum(counts)
         rows = tn.dispatch_rows(u, order, r)
         gates = tn.dispatch_rows(normal_gates.reshape((t * r, 1)), order, 1)
-        outputs = [ffn_forward(tn.slice_rows(rows, lo, hi), self.experts[e + 1], activation)
+        outputs = [ffn_forward(tn.slice_rows(rows, lo, hi), self.experts[e + 1])
                    for e, (lo, hi) in enumerate(zip(ends - counts, ends))
                    if hi > lo]
         h = h + tn.combine_rows(tn.concat_rows(outputs) * gates, order, r)

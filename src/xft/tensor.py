@@ -24,6 +24,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 ATTENTION_MASK_VALUE = -1e9  # additive mask; exp underflows to exactly 0 in float32
+LAYER_NORM_EPS = 1e-5
+FINITE_DIFF_STEP = 1e-3
+# The finite-difference error denominator is at least this many times a float64
+# central difference's rounding noise, eps * max(|f+|, |f-|) / h, so an element
+# whose true gradient is 0 does not read that noise as an error of order 1.
+FINITE_DIFF_NOISE_MULTIPLE = 4096
 
 
 @contextlib.contextmanager
@@ -396,16 +402,16 @@ def combine_rows(a: Tensor, order, group: int) -> Tensor:
     return _make(_slot_sum(a.data, order, group), (a,), lambda g: (g[order // group],))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along ``axis``; output is positive and sums to 1."""
+def softmax(a: Tensor) -> Tensor:
+    """Max-subtracted softmax along the last axis; output is positive and sums to 1."""
     if not np.isfinite(a.data).all():
         raise ValueError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
+        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
 
     return _make(y, (a,), bw)
 
@@ -467,14 +473,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
     return _make(out, (q, k, v), bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(a: Tensor) -> Tensor:
     if not np.isfinite(a.data).all():
         raise ValueError("log_softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def bw(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
 
     return _make(y, (a,), bw)
 
@@ -499,14 +505,14 @@ def identity(a: Tensor) -> Tensor:
     return _make(a.data.copy(), (a,), lambda g: (g,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row layer normalization with learned gain and bias."""
     if x.shape[-1] != gain.shape[0] or gain.shape != bias.shape:
         raise ValueError(f"layer_norm shape mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     y = xhat * gain.data + bias.data
 
@@ -531,19 +537,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Iterable[Tensor],
-    h: float = 1e-3,
     n_probes: int | None = None,
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must be a deterministic scalar function of the current parameter
-    values. The error per probed element is
-    |analytic - central| / (|analytic| + |central| + eps). With ``n_probes``
-    set, a seeded random subset of parameter elements is probed; otherwise
-    every element is. Run this on float64 parameters: float32 evaluation
-    noise divided by 2h dominates the quantity being measured.
+    values. The error per probed element is |analytic - central| divided by
+    |analytic| + |central| + 1e-12, or by ``FINITE_DIFF_NOISE_MULTIPLE`` times
+    the central difference's float64 rounding noise when that is larger. With
+    ``n_probes`` set, a seeded random subset of parameter elements is probed;
+    otherwise every element is. Run this on float64 parameters: float32
+    evaluation noise divided by 2h dominates the quantity being measured.
     """
+    h = FINITE_DIFF_STEP
     params = list(params)
     for p in params:
         p.grad = None
@@ -570,6 +577,8 @@ def finite_diff_check(
             flat[j] = orig
             central = (fp - fm) / (2.0 * h)
             a = float(analytic[pi].reshape(-1)[j])
-            err = abs(a - central) / (abs(a) + abs(central) + 1e-12)
+            noise = np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
+            err = abs(a - central) / max(abs(a) + abs(central) + 1e-12,
+                                         FINITE_DIFF_NOISE_MULTIPLE * noise)
             max_err = max(max_err, err)
     return max_err

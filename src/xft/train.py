@@ -31,6 +31,13 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01  # decoupled; AdamW applies it to matrices only
+CLIP_NORM = 1.0  # bound on the global gradient norm before each update
+
+
 @dataclass
 class TrainHyper:
     batch_size: int = 8
@@ -38,16 +45,21 @@ class TrainHyper:
     warmup_steps: int = 0
     epochs: int = 1
     seed: int = 0
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise ValueError("epochs and warmup_steps must be non-negative")
+
+
+def steps_per_epoch(n_examples: int, batch_size: int) -> int:
+    """Optimizer steps in one pass over ``n_examples`` (at least one)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return max(1, math.ceil(n_examples / batch_size))
 
 
 def lr_at_step(step: int, hyper: TrainHyper, total_steps: int) -> float:
@@ -62,19 +74,16 @@ def lr_at_step(step: int, hyper: TrainHyper, total_steps: int) -> float:
 class AdamW:
     """Adaptive-moment update with decoupled weight decay on matrices only."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -83,13 +92,13 @@ class AdamW:
                 raise FloatingPointError(f"non-finite gradient in {name!r} at update {self.t}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and p.data.ndim >= 2:
-                update = update + self.weight_decay * p.data
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            if p.data.ndim >= 2:
+                update = update + WEIGHT_DECAY * p.data
             p.data -= lr * update
 
 
@@ -164,12 +173,17 @@ def pack_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tokens, np.concatenate([mask for _, mask in batch]), bounds
 
 
-def dataset_loss(model: Transformer, examples: Sequence[InstructionExample],
-                 tokenizer: ByteTokenizer | None = None) -> float:
+def encode_examples(examples: Sequence[InstructionExample], max_seq_len: int) -> list:
+    """``tokenize_and_mask`` under the byte tokenizer of every example whose
+    output survives truncation."""
+    tokenizer = ByteTokenizer()
+    return [enc for enc in (tokenize_and_mask(ex, tokenizer, max_seq_len) for ex in examples)
+            if enc is not None]
+
+
+def dataset_loss(model: Transformer, examples: Sequence[InstructionExample]) -> float:
     """Masked next-token loss over a dataset, averaged per scored token."""
-    tokenizer = tokenizer or ByteTokenizer()
-    encoded = [enc for enc in (tokenize_and_mask(ex, tokenizer, model.cfg.max_seq_len)
-                               for ex in examples) if enc is not None]
+    encoded = encode_examples(examples, model.cfg.max_seq_len)
     total, weight = 0.0, 0.0
     with tn.no_grad():
         for chunk in token_chunks(encoded, EVAL_PACK_TOKENS, length=lambda enc: len(enc[0])):
@@ -202,7 +216,6 @@ class ModelTrainable:
 
 
 def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyper,
-              tokenizer: ByteTokenizer | None = None,
               post_step: Callable[[int], None] | None = None) -> list[float]:
     """Seeded shuffled mini-batch training; returns the per-step loss curve.
 
@@ -213,27 +226,21 @@ def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyp
     """
     if isinstance(trainable, Transformer):
         trainable = ModelTrainable(trainable)
-    tokenizer = tokenizer or ByteTokenizer()
     if not examples:
         raise ValueError("dataset must be nonempty")
 
-    encoded = []
-    for ex in examples:
-        enc = tokenize_and_mask(ex, tokenizer, trainable.max_seq_len)
-        if enc is not None:
-            encoded.append(enc)
+    encoded = encode_examples(examples, trainable.max_seq_len)
     if not encoded:
         raise ValueError("no usable examples after tokenization")
 
     if hyper.epochs == 0:
         return []
-    steps_per_epoch = math.ceil(len(encoded) / hyper.batch_size)
-    total_steps = hyper.epochs * steps_per_epoch
+    total_steps = hyper.epochs * steps_per_epoch(len(encoded), hyper.batch_size)
     if hyper.warmup_steps >= total_steps:
         raise ValueError(f"warmup_steps {hyper.warmup_steps} must be < total steps {total_steps}")
 
     params = trainable.named_parameters()
-    optimizer = AdamW(params, weight_decay=hyper.weight_decay)
+    optimizer = AdamW(params)
     rng = np.random.default_rng(hyper.seed)
     curve: list[float] = []
     step = 0
@@ -248,7 +255,7 @@ def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyp
             for p in params.values():
                 p.grad = None
             tn.backward(loss)
-            clip_global_norm(list(params.values()), hyper.clip_norm)
+            clip_global_norm(list(params.values()), CLIP_NORM)
             optimizer.step(lr_at_step(step, hyper, total_steps))
             if post_step is not None:
                 post_step(step)

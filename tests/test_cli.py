@@ -73,6 +73,25 @@ class TestIOErrors:
         assert run("train-moe", "--ckpt", dense, "--data", data,
                    "--out", str(tmp_path / "x.xftc")) == EXIT_IO
 
+    @pytest.mark.parametrize("command, flags, field", [
+        ("train-sft", ("--batch-size", "0"), "batch_size"),
+        ("train-moe", ("--batch-size", "0"), "batch_size"),
+        ("learn-merge", ("--batch-size", "0"), "batch_size"),
+        ("train-sft", ("--lr", "nan"), "peak_lr"),
+        ("upcycle", ("--router-std", "nan"), "router_init_std"),
+    ], ids=["train-sft-batch-0", "train-moe-batch-0", "learn-merge-batch-0", "train-sft-lr-nan",
+            "upcycle-router-std-nan"])
+    def test_invalid_number_writes_nothing(self, workspace, capsys, command, flags, field):
+        tmp_path, dense, data = workspace
+        ckpt, out = dense, tmp_path / "out"
+        if command in ("train-moe", "learn-merge"):
+            ckpt = str(tmp_path / "moe.xftc")
+            run("upcycle", "--ckpt", dense, "--out", ckpt, "--experts", "4", "--topk", "3")
+        data_flags = () if command == "upcycle" else ("--data", data)
+        assert run(command, "--ckpt", ckpt, "--out", str(out), *data_flags, *flags) == EXIT_IO
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 def merge_with_coeffs(workspace, mode, obj, *flags) -> int:
     """Exit code of ``merge`` with ``flags`` and ``--coeffs`` on the JSON
@@ -277,6 +296,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_verify_passes_at_seed_29(self, capsys):
+        # its gradient probes hit elements whose true gradient is 0
+        assert run("verify", "--seed", "29") == EXIT_OK
+        assert capsys.readouterr().out.count("PASS") == 5
 
     def test_verify_with_upcycled_checkpoint(self, workspace, capsys):
         tmp_path, dense, _ = workspace

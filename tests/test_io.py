@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xft import tensor as tn
 from xft.checkpoint import (
@@ -66,6 +68,16 @@ class TestCheckpointRoundTrip:
         save_checkpoint(moe, mp)
         assert read_checkpoint_config(dp)["moe"] is None
         assert read_checkpoint_config(mp)["moe"]["n_experts"] == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_and_writes_nothing(self, tmp_path, value):
+        model = build_dense_model(small_cfg(), seed=4)
+        model.blocks[1].attn.bk.data[3] = value
+        path = tmp_path / "bad.xftc"
+        with pytest.raises(CheckpointError, match="'layers.1.attn.bk' holds non-finite"):
+            save_checkpoint(model, str(path))
+        assert not path.exists()
+        assert not list(tmp_path.iterdir())
 
     def test_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "m.xftc")
@@ -225,6 +237,22 @@ class TestCheckpointDirectory:
         with pytest.raises(CheckpointError, match=r"'layers.0.attn.wq' has shape \(8, 32\)"):
             self.load(tmp_path, config, entries, data)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        _, config, entries, data = self.parts()
+        bad = np.frombuffer(data, dtype="<f4").copy()
+        bad[5] = value
+        with pytest.raises(CheckpointError, match="'tok_emb' holds non-finite"):
+            self.load(tmp_path, config, entries, bad.tobytes())
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        path = tmp_path / "c.xftc"
+        raw = checkpoint_bytes(config, entries, data)
+        path.write_bytes(raw.replace(b"tok_emb", b"tok\xffemb", 1))
+        with pytest.raises(CheckpointError, match="tensor 0 name is not UTF-8"):
+            load_checkpoint(str(path))
+
     def test_config_read_stops_after_header(self, tmp_path):
         model, config, entries, data = self.parts()
         path = str(tmp_path / "head.xftc")
@@ -235,6 +263,38 @@ class TestCheckpointDirectory:
         assert read_checkpoint_config(path) == config
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "moe.xftc"
+    cfg = ModelConfig(vocab_size=5, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq_len=3)
+    save_checkpoint(upcycle_dense_to_moe(build_dense_model(cfg, seed=1), MoEConfig(2, 2),
+                                         seed=2), str(path), meta={"phase": "upcycled"})
+    return path
+
+
+class TestCheckpointCorruption:
+    """Any truncation or single-bit flip of a checkpoint either loads as a
+    model with finite tensors or raises CheckpointError, nothing else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), flip=st.booleans())
+    def test_truncation_or_bit_flip(self, tiny_checkpoint, data, flip):
+        raw = bytearray(tiny_checkpoint.read_bytes())
+        if flip:
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            raw[bit // 8] ^= 1 << (bit % 8)
+        else:
+            del raw[data.draw(st.integers(0, len(raw) - 1), label="length"):]
+        path = tiny_checkpoint.with_name("corrupt.xftc")
+        path.write_bytes(bytes(raw))
+        try:
+            model = load_checkpoint(str(path))
+        except CheckpointError:
+            return
+        for name, p in model.named_parameters().items():
+            assert np.isfinite(p.data).all(), name
 
 
 class TestDataset:

@@ -109,7 +109,7 @@ class TestBackward:
             logp = tn.log_softmax(logits)
             return -tn.take_along_rows(logp, targets[:, None]).mean()
 
-        err = tn.finite_diff_check(f, [w1, b1, w2], h=1e-3)
+        err = tn.finite_diff_check(f, [w1, b1, w2])
         assert err < 1e-3
 
 

@@ -72,14 +72,14 @@ class TestAdamW:
     def test_zero_gradient_zero_decay_leaves_param(self):
         p = Tensor(np.array([1.5], dtype=np.float32), requires_grad=True)
         p.grad = np.zeros(1, dtype=np.float32)
-        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt = AdamW({"p": p})
         opt.step(lr=0.1)
         assert p.data[0] == 1.5
 
     def test_scalar_repeated_unit_gradient_matches_oracle(self):
         lr = 1e-3
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
-        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt = AdamW({"p": p})
         for _ in range(10):
             p.grad = np.ones(1, dtype=np.float64)
             opt.step(lr)
@@ -105,7 +105,7 @@ class TestAdamW:
         vec = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
         mat.grad = np.zeros((2, 2))
         vec.grad = np.zeros(2)
-        AdamW({"m": mat, "v": vec}, weight_decay=0.01).step(lr=0.1)
+        AdamW({"m": mat, "v": vec}).step(lr=0.1)
         assert np.allclose(mat.data, 1.0 - 0.1 * 0.01)
         assert np.array_equal(vec.data, np.ones(2))
 
