@@ -11,10 +11,8 @@ from xft.merge import (
     MixingCoefficients,
     ewa_beta_at_step,
     ewa_step,
-    extract_shared_expert,
     init_mixing_coefficients,
     learn_mixing_coefficients,
-    merge_fixed,
     merge_uniform,
     merge_xft,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "ewa_beta_at_step",
     "ewa_step",
     "expert_load_histogram",
-    "extract_shared_expert",
     "ffn_forward",
     "finite_diff_check",
     "generate_greedy",
@@ -85,7 +82,6 @@ __all__ = [
     "load_checkpoint",
     "load_instruction_dataset",
     "lr_at_step",
-    "merge_fixed",
     "merge_uniform",
     "merge_xft",
     "model_forward_loss",

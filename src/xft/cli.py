@@ -25,7 +25,6 @@ from xft.merge import (
     MixingCoefficients,
     ewa_beta_at_step,
     ewa_step,
-    extract_shared_expert,
     init_mixing_coefficients,
     learn_mixing_coefficients,
     merge_uniform,
@@ -134,11 +133,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("merge", help="compile an MoE checkpoint back to a dense model")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("xft", "uniform", "soup", "ewa", "extract-shared"),
-                   default="xft")
-    p.add_argument("--coeffs", default=None, help="coefficients JSON from learn-merge")
+    p.add_argument("--mode", choices=("xft", "uniform"), default="xft")
+    p.add_argument("--coeffs", default=None,
+                   help="coefficients JSON from learn-merge; soup coefficients merge as soup")
     p.add_argument("--lambda", dest="shared_rate", type=float, default=None,
-                   help=f"shared rate of initialized xft/soup coefficients, without --coeffs "
+                   help=f"shared rate of initialized xft coefficients, without --coeffs "
                         f"(default {DEFAULT_SHARED_RATE})")
     _add_seed(p)
 
@@ -164,16 +163,26 @@ def build_parser() -> _Parser:
 
 
 def _seed_of(args) -> int:
-    if getattr(args, "seed", None) is None:
-        return int(os.environ.get("XFT_SEED", "0"))
-    return args.seed
+    """``--seed``, else ``$XFT_SEED``, else 0; a seed that is not a
+    non-negative integer is a ValueError naming where it came from."""
+    if args.seed is not None:
+        source, seed = "--seed", args.seed
+    else:
+        source, text = "XFT_SEED", os.environ.get("XFT_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"XFT_SEED must be a non-negative integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
-def _resolve_hyper(args, n_examples: int, epochs: int, seed: int) -> TrainHyper:
+def _resolve_hyper(args, n_examples: int, epochs: int) -> TrainHyper:
     total = epochs * steps_per_epoch(n_examples, args.batch_size)
     warmup = args.warmup if args.warmup is not None else total // 10
     return TrainHyper(batch_size=args.batch_size, peak_lr=args.lr,
-                      warmup_steps=warmup, epochs=epochs, seed=seed)
+                      warmup_steps=warmup, epochs=epochs, seed=args.seed)
 
 
 def _report_curve(args, curve, n_examples: int) -> None:
@@ -188,18 +197,16 @@ def _report_curve(args, curve, n_examples: int) -> None:
 
 
 def cmd_init(args) -> int:
-    seed = _seed_of(args)
     cfg = ModelConfig(vocab_size=ByteTokenizer.vocab_size, d_model=args.d_model,
                       n_layers=args.layers, n_heads=args.heads, d_ff=args.d_ff,
                       max_seq_len=args.seq_len)
-    model = build_dense_model(cfg, seed=seed)
-    save_checkpoint(model, args.out, meta={"phase": "init", "seed": seed})
+    model = build_dense_model(cfg, seed=args.seed)
+    save_checkpoint(model, args.out, meta={"phase": "init", "seed": args.seed})
     print(f"wrote dense model to {args.out}")
     return EXIT_OK
 
 
 def cmd_train_sft(args) -> int:
-    seed = _seed_of(args)
     model = load_checkpoint(args.ckpt)
     if model.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds an MoE model; use train-moe")
@@ -208,33 +215,31 @@ def cmd_train_sft(args) -> int:
     if epochs is None:
         epochs = MOE_EPOCHS_DEFAULT + MERGE_EPOCHS_DEFAULT if args.fairness \
             else MOE_EPOCHS_DEFAULT
-    hyper = _resolve_hyper(args, len(examples), epochs, seed)
+    hyper = _resolve_hyper(args, len(examples), epochs)
     curve = sft_train(model, examples, hyper)
     _report_curve(args, curve, len(examples))
-    save_checkpoint(model, args.out, meta={"phase": "sft", "seed": seed, "epochs": epochs})
+    save_checkpoint(model, args.out, meta={"phase": "sft", "seed": args.seed, "epochs": epochs})
     print(f"wrote fine-tuned dense model to {args.out}")
     return EXIT_OK
 
 
 def cmd_upcycle(args) -> int:
-    seed = _seed_of(args)
     dense = load_checkpoint(args.ckpt)
     cfg = MoEConfig(n_experts=args.experts, top_k=args.topk,
                     normalization_enabled=not args.no_normalization,
                     router_init_std=args.router_std)
-    moe = upcycle_dense_to_moe(dense, cfg, seed=seed)
-    save_checkpoint(moe, args.out, meta={"phase": "upcycled", "seed": seed})
+    moe = upcycle_dense_to_moe(dense, cfg, seed=args.seed)
+    save_checkpoint(moe, args.out, meta={"phase": "upcycled", "seed": args.seed})
     print(f"wrote upcycled MoE ({args.experts} experts, top {args.topk}) to {args.out}")
     return EXIT_OK
 
 
 def cmd_train_moe(args) -> int:
-    seed = _seed_of(args)
     model = load_checkpoint(args.ckpt)
     if not model.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds a dense model; use train-sft")
     examples = load_instruction_dataset(args.data)
-    hyper = _resolve_hyper(args, len(examples), args.epochs, seed)
+    hyper = _resolve_hyper(args, len(examples), args.epochs)
 
     post_step = None
     if args.ewa_beta is not None:
@@ -248,7 +253,7 @@ def cmd_train_moe(args) -> int:
 
     curve = sft_train(model, examples, hyper, post_step=post_step)
     _report_curve(args, curve, len(examples))
-    meta = {"phase": "moe-sft", "seed": seed, "epochs": args.epochs}
+    meta = {"phase": "moe-sft", "seed": args.seed, "epochs": args.epochs}
     if args.ewa_beta is not None:
         meta["ewa_beta"] = args.ewa_beta
         meta["ewa_schedule"] = args.ewa_schedule
@@ -258,10 +263,9 @@ def cmd_train_moe(args) -> int:
 
 
 def cmd_learn_merge(args) -> int:
-    seed = _seed_of(args)
     model = load_checkpoint(args.ckpt)
     examples = load_instruction_dataset(args.data)
-    hyper = _resolve_hyper(args, len(examples), args.epochs, seed)
+    hyper = _resolve_hyper(args, len(examples), args.epochs)
     coeffs, curve = learn_mixing_coefficients(
         model, examples, args.shared_rate, hyper, unconstrained=args.soup)
     _report_curve(args, curve, len(examples))
@@ -274,38 +278,29 @@ def cmd_learn_merge(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    if args.mode not in ("xft", "soup") and (args.coeffs or args.shared_rate is not None):
-        raise ValueError(f"--mode {args.mode} takes neither --coeffs nor --lambda")
+    if args.mode == "uniform" and (args.coeffs or args.shared_rate is not None):
+        raise ValueError("--mode uniform takes neither --coeffs nor --lambda")
     if args.coeffs and args.shared_rate is not None:
         raise ValueError("--lambda sets initialized coefficients; it cannot go with --coeffs")
     lam = DEFAULT_SHARED_RATE if args.shared_rate is None else args.shared_rate
     model = load_checkpoint(args.ckpt)
     if not model.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds a dense model; nothing to merge")
-    n_experts = model.moe_cfg.n_experts
 
-    if args.mode in ("xft", "soup"):
+    if args.mode == "uniform":
+        dense, mode, detail = merge_uniform(model), "uniform", "uniform"
+    else:
         if args.coeffs:
             with open(args.coeffs, "r", encoding="utf-8") as f:
                 coeffs = MixingCoefficients.from_json_obj(json.load(f))
-            if coeffs.unconstrained != (args.mode == "soup"):
-                kind = "unconstrained soup" if coeffs.unconstrained else "shared-rate"
-                raise ValueError(f"{args.coeffs!r} holds {kind} coefficients; "
-                                 f"--mode {args.mode} needs the other kind")
         else:
-            coeffs = init_mixing_coefficients(n_experts, len(model.blocks), lam,
-                                              unconstrained=(args.mode == "soup"))
+            coeffs = init_mixing_coefficients(model.moe_cfg.n_experts, len(model.blocks), lam)
         dense = merge_xft(model, coeffs)
+        mode = "soup" if coeffs.unconstrained else "xft"  # the coefficients know their kind
         note = "learned" if args.coeffs else "initialized"
-        detail = f"{args.mode} ({note} coefficients)"
-    elif args.mode in ("uniform", "ewa"):
-        dense = merge_uniform(model)  # EWA's final conversion is the uniform mean
-        detail = args.mode
-    else:
-        dense = extract_shared_expert(model)
-        detail = "extract-shared"
+        detail = f"{mode} ({note} coefficients)"
 
-    meta = {"phase": "merged", "mode": args.mode}
+    meta = {"phase": "merged", "mode": mode}
     if args.mode == "xft" and not args.coeffs:
         meta["shared_rate"] = lam
     save_checkpoint(dense, args.out, meta=meta)
@@ -381,7 +376,7 @@ def cmd_verify(args) -> int:
     if moe is not None and not moe.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds a dense model; verify needs an MoE checkpoint")
     failures = 0
-    for name, bound, measure in _verify_table(_seed_of(args), moe):
+    for name, bound, measure in _verify_table(args.seed, moe):
         worst = measure()
         passed = worst < bound
         print(f"{'PASS' if passed else 'FAIL'} {name}: worst {worst:.2e}, bound {bound:.0e}")
@@ -418,6 +413,8 @@ def cli_dispatch(argv) -> int:
         print(parser.format_usage(), file=sys.stderr)
         return EXIT_USAGE
     try:
+        if "seed" in vars(args):  # resolved before any file is read or written
+            args.seed = _seed_of(args)
         return _HANDLERS[args.command](args)
     except (CheckpointError, DatasetError, OSError, TrainingDiverged, FloatingPointError,
             ValueError) as e:  # ValueError covers JSONDecodeError and invalid input

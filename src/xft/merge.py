@@ -1,11 +1,11 @@
 """Compiling an upcycled MoE back to a dense model.
 
-Three routes: fixed-coefficient weight averaging, a learnable merge where
-per-layer mixing coefficients are trained on the instruction data (with the
-shared expert's coefficient pinned to the shared rate, or fully learnable in
-the unconstrained "learned soup" variant), and the EWA baseline that blends
-experts toward their mean during training and averages them uniformly at
-the end.
+One operation does it: each layer's FFN becomes a convex mix of that
+layer's experts. The coefficients decide the merge. They are learned on the
+instruction data with the shared expert's coefficient pinned to the shared
+rate (xft), learned over all N experts (the unconstrained "learned soup"),
+or uniform (the final step of the EWA baseline, which blends experts toward
+their mean during training).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights, Transformer, assemble, model_forward_loss
-from xft.moe import SHARED_EXPERT, MoELayer
+from xft.model import Transformer, assemble, model_forward_loss
+from xft.moe import MoELayer
 from xft.tensor import Tensor
 from xft.train import InstructionExample, TrainHyper, pack_batch, sft_train
 
@@ -172,14 +172,6 @@ def _merge_fixed(model: Transformer, alphas) -> Transformer:
         return _merged(model, coefs).copy(requires_grad=True)
 
 
-def merge_fixed(layer: MoELayer, alpha) -> FFNWeights:
-    """Convex combination of all expert weight sets, tensor by tensor."""
-    coefs = _convex(alpha, layer.cfg.n_experts)
-    with tn.no_grad():
-        mixed = [_mix(ts, coefs) for ts in zip(*(e.tensors().values() for e in layer.experts))]
-    return FFNWeights(*(Tensor(t.data, requires_grad=True) for t in mixed))
-
-
 def merge_xft(model: Transformer, coeffs: MixingCoefficients) -> Transformer:
     """Dense model from the learned mixing coefficients; routers discarded."""
     if coeffs.n_experts != _n_experts(model):
@@ -190,13 +182,9 @@ def merge_xft(model: Transformer, coeffs: MixingCoefficients) -> Transformer:
 
 
 def merge_uniform(model: Transformer) -> Transformer:
+    """Dense model from the plain expert mean (EWA's final conversion)."""
     n = _n_experts(model)
     return _merge_fixed(model, [np.full(n, 1.0 / n)] * model.cfg.n_layers)
-
-
-def extract_shared_expert(model: Transformer) -> Transformer:
-    one_hot = np.eye(_n_experts(model))[SHARED_EXPERT]
-    return _merge_fixed(model, [one_hot] * model.cfg.n_layers)
 
 
 @dataclass

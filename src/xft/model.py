@@ -343,6 +343,8 @@ def generate_greedy(model: Transformer, prompt, max_new: int) -> list[int]:
     seq = [int(t) for t in prompt]
     if not seq:
         raise ValueError("prompt must be nonempty")
+    if max_new < 0:
+        raise ValueError(f"max_new must be non-negative, got {max_new}")
     if len(seq) > model.cfg.max_seq_len:
         raise ValueError(f"prompt length {len(seq)} exceeds max_seq_len {model.cfg.max_seq_len}")
     with tn.no_grad():

@@ -23,6 +23,16 @@ def make_smoke_corpus(n: int, seed: int) -> list[InstructionExample]:
     return out
 
 
+def tiny_moe(w_ups):
+    """One-layer MoE with d_model = d_ff = 2 whose expert e has its w_up set
+    from ``w_ups[e]`` (a number fills the matrix; a 2x2 array is copied)."""
+    cfg = ModelConfig(vocab_size=4, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq_len=4)
+    moe = upcycle_dense_to_moe(build_dense_model(cfg), MoEConfig(len(w_ups), 2))
+    for expert, w in zip(moe.blocks[0].slot.experts, w_ups):
+        expert.w_up.data[...] = w
+    return moe
+
+
 def symmetric_router_model(n=8, k=6, vocab=512, d_model=32, layers=2, seed=0):
     """MoE model whose routing affinities are exchangeable across experts.
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_smoke_corpus, symmetric_router_model
+from conftest import make_smoke_corpus, symmetric_router_model, tiny_moe
 from oracles import route_shared_normalized, route_standard
 from xft import tensor as tn
 from xft.analysis import expert_load_histogram
@@ -31,12 +31,11 @@ from xft.merge import (
     ewa_step,
     init_mixing_coefficients,
     learn_mixing_coefficients,
-    merge_fixed,
     merge_uniform,
     merge_xft,
 )
 from xft.model import FFNWeights, ModelConfig, build_dense_model
-from xft.moe import MoEConfig, MoELayer, upcycle_dense_to_moe
+from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.tensor import Tensor
 from xft.train import TrainHyper, dataset_loss
 
@@ -176,13 +175,7 @@ def test_criterion_6_merge_identities():
         assert diff_ident < 1e-5
 
     # uniform merge of three scalar stand-ins {1, 2, 6} averages to 3
-    experts = [FFNWeights(Tensor(np.array([[v]], dtype=np.float32)),
-                          Tensor(np.zeros(1, dtype=np.float32)),
-                          Tensor(np.ones((1, 1), dtype=np.float32)),
-                          Tensor(np.zeros(1, dtype=np.float32)))
-               for v in (1.0, 2.0, 6.0)]
-    layer = MoELayer(experts, Tensor(np.zeros((3, 1), dtype=np.float32)), MoEConfig(3, 2))
-    mean = merge_fixed(layer, np.full(3, 1 / 3)).w_up.data[0, 0]
+    mean = merge_uniform(tiny_moe([1.0, 2.0, 6.0])).blocks[0].slot.w_up.data[0, 0]
     assert mean == pytest.approx(3.0, abs=1e-6)
     return (f"rate-1 diff {diff_lam1:.2e}, identical-expert diff {diff_ident:.2e}, "
             f"scalar mean {mean:.6f}")
@@ -310,8 +303,7 @@ def smoke(tmp_path_factory):
     run("learn-merge", "--ckpt", paths["moe"], "--data", train_path, "--out", soup_coeffs,
         "--lambda", "0.75", "--soup", "--epochs", "1", "--lr", "2e-2", "--warmup", "5",
         "--batch-size", "8", "--seed", "5")
-    run("merge", "--ckpt", paths["moe"], "--out", paths["soup_merged"], "--mode", "soup",
-        "--coeffs", soup_coeffs)
+    run("merge", "--ckpt", paths["moe"], "--out", paths["soup_merged"], "--coeffs", soup_coeffs)
 
     losses = {}
     for name in ("warm", "baseline", "moe"):

@@ -1,13 +1,15 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xft import tensor as tn
-from xft.checkpoint import load_checkpoint, read_checkpoint_config
-from xft.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, cli_dispatch
+from xft.checkpoint import load_checkpoint, read_checkpoint_config, save_checkpoint
+from xft.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, cli_dispatch
 from xft.dataset import save_instruction_dataset
 from xft.merge import init_mixing_coefficients
 from xft.train import InstructionExample
@@ -46,6 +48,16 @@ class TestUsage:
 
     def test_missing_required_flag_is_usage_error(self):
         assert run("init") == EXIT_USAGE
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("xft ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestIOErrors:
@@ -92,6 +104,27 @@ class TestIOErrors:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("env, flags, source", [
+        ("-1", (), "XFT_SEED"),
+        ("abc", (), "XFT_SEED"),
+        (None, ("--seed", "-3"), "--seed"),
+    ], ids=["env-negative", "env-not-a-number", "flag-negative"])
+    def test_invalid_seed_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                           env, flags, source):
+        if env is not None:
+            monkeypatch.setenv("XFT_SEED", env)
+        out = tmp_path / "out.xftc"
+        # the checkpoint does not exist: the seed is checked before it is read
+        assert run("upcycle", "--ckpt", str(tmp_path / "missing.xftc"), "--out", str(out),
+                   *flags) == EXIT_IO
+        assert f"{source} must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_max_new_is_io_error(self, workspace, capsys):
+        _, dense, _ = workspace
+        assert run("generate", "--ckpt", dense, "--prompt", "hi", "--max-new", "-5") == EXIT_IO
+        assert "max_new" in capsys.readouterr().err
+
 
 def merge_with_coeffs(workspace, mode, obj, *flags) -> int:
     """Exit code of ``merge`` with ``flags`` and ``--coeffs`` on the JSON
@@ -117,29 +150,32 @@ class TestCoefficientFiles:
         obj["logits"][0][0] = float("nan")
         assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
 
-    def test_xft_mode_rejects_soup_coefficients(self, workspace):
-        assert merge_with_coeffs(workspace, "xft", coeffs_obj(soup=True)) == EXIT_IO
+    @pytest.mark.parametrize("soup, mode", [(False, "xft"), (True, "soup")])
+    def test_coeffs_file_sets_the_recorded_mode(self, workspace, soup, mode):
+        tmp_path, dense, _ = workspace
+        moe, coeffs, out = (tmp_path / name for name in ("moe.xftc", "c.json", "merged.xftc"))
+        run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "3")
+        coeffs.write_text(json.dumps(coeffs_obj(soup=soup)))
+        assert run("merge", "--ckpt", str(moe), "--out", str(out),
+                   "--coeffs", str(coeffs)) == EXIT_OK
+        assert read_checkpoint_config(str(out))["meta"] == {"phase": "merged", "mode": mode}
 
-    def test_soup_mode_rejects_shared_rate_coefficients(self, workspace):
-        assert merge_with_coeffs(workspace, "soup", coeffs_obj()) == EXIT_IO
+    @pytest.mark.parametrize("mode", ["ewa", "extract-shared", "soup"])
+    def test_removed_mode_is_usage_error(self, workspace, mode):
+        assert merge_with_coeffs(workspace, mode, None) == EXIT_USAGE
 
     def test_missing_logits_is_io_error(self, workspace):
         obj = coeffs_obj()
         del obj["logits"]
         assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
 
-    # --coeffs goes only with xft/soup; --lambda only with xft/soup and no --coeffs
+    # --coeffs and --lambda go only with xft, and not together
     @pytest.mark.parametrize("mode, obj, flags", [
         ("uniform", coeffs_obj(), ()),
-        ("ewa", coeffs_obj(), ()),
-        ("extract-shared", None, ("--coeffs", "/nonexistent/coeffs.json")),
         ("xft", coeffs_obj(), ("--lambda", "0.5")),
-        ("soup", coeffs_obj(soup=True), ("--lambda", "0.5")),
+        ("xft", coeffs_obj(soup=True), ("--lambda", "0.5")),
         ("uniform", None, ("--lambda", "0.5")),
-        ("ewa", None, ("--lambda", "0.75")),
-        ("extract-shared", None, ("--lambda", "0.5")),
-    ], ids=["uniform-coeffs", "ewa-coeffs", "extract-shared-missing-coeffs", "xft-coeffs-lambda",
-            "soup-coeffs-lambda", "uniform-lambda", "ewa-lambda", "extract-shared-lambda"])
+    ], ids=["uniform-coeffs", "xft-coeffs-lambda", "soup-coeffs-lambda", "uniform-lambda"])
     def test_flag_the_mode_ignores_is_io_error(self, workspace, mode, obj, flags):
         assert merge_with_coeffs(workspace, mode, obj, *flags) == EXIT_IO
 
@@ -201,40 +237,29 @@ class TestPipelineCommands:
         assert read_checkpoint_config(str(merged))["moe"] is None
 
     def test_merge_lambda_one_equals_extract_shared(self, workspace):
+        # --lambda 1 keeps exactly the shared expert's FFN in every layer
         tmp_path, dense, _ = workspace
-        moe = tmp_path / "moe.xftc"
+        moe, out = tmp_path / "moe.xftc", tmp_path / "lam1.xftc"
         run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "3")
-        a, b = tmp_path / "lam1.xftc", tmp_path / "shared.xftc"
-        assert run("merge", "--ckpt", str(moe), "--out", str(a),
-                   "--mode", "xft", "--lambda", "1.0") == EXIT_OK
-        assert run("merge", "--ckpt", str(moe), "--out", str(b),
-                   "--mode", "extract-shared") == EXIT_OK
-        ma, mb = load_checkpoint(str(a)), load_checkpoint(str(b))
-        with tn.no_grad():
-            la = ma.logits([1, 2, 3]).data
-            lb = mb.logits([1, 2, 3]).data
-        assert np.array_equal(la, lb)
+        model = load_checkpoint(str(moe))
+        rng = np.random.default_rng(0)
+        for t in model.named_parameters().values():  # make the experts distinct
+            t.data += (0.1 * rng.normal(size=t.shape)).astype(np.float32)
+        save_checkpoint(model, str(moe))
+        assert run("merge", "--ckpt", str(moe), "--out", str(out), "--lambda", "1.0") == EXIT_OK
+        params = model.named_parameters()
+        for name, t in load_checkpoint(str(out)).named_parameters().items():
+            assert np.array_equal(t.data, params[name.replace(".ffn.", ".moe.experts.0.")].data)
 
     def test_merge_does_not_mutate_input_checkpoint(self, workspace):
         tmp_path, dense, _ = workspace
         moe = tmp_path / "moe.xftc"
         run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "2")
         before = moe.read_bytes()
-        for mode in ("xft", "uniform", "soup", "ewa", "extract-shared"):
+        for mode in ("xft", "uniform"):
             assert run("merge", "--ckpt", str(moe), "--out",
                        str(tmp_path / f"{mode}.xftc"), "--mode", mode) == EXIT_OK
         assert moe.read_bytes() == before
-
-    def test_merge_uniform_equals_ewa_mode(self, workspace):
-        tmp_path, dense, _ = workspace
-        moe = tmp_path / "moe.xftc"
-        run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "2")
-        u, e = tmp_path / "u.xftc", tmp_path / "e.xftc"
-        run("merge", "--ckpt", str(moe), "--out", str(u), "--mode", "uniform")
-        run("merge", "--ckpt", str(moe), "--out", str(e), "--mode", "ewa")
-        mu, me = load_checkpoint(str(u)), load_checkpoint(str(e))
-        for name, p in mu.named_parameters().items():
-            assert np.array_equal(p.data, me.named_parameters()[name].data)
 
     def test_eval_loss_prints_number(self, workspace, capsys):
         _, dense, data = workspace

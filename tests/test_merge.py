@@ -2,23 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import tiny_moe
 from xft import tensor as tn
 from xft.merge import (
     EWAConfig,
     MixingCoefficients,
     ewa_beta_at_step,
     ewa_step,
-    extract_shared_expert,
     init_mixing_coefficients,
     learn_mixing_coefficients,
-    merge_fixed,
     merge_uniform,
     merge_xft,
+    _merge_fixed,
     _MergedTrainable,
 )
-from xft.model import FFNWeights, ModelConfig, build_dense_model
-from xft.moe import MoEConfig, MoELayer, upcycle_dense_to_moe
+from xft.model import ModelConfig, build_dense_model
+from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.tensor import Tensor
 from xft.train import InstructionExample, TrainHyper
 
@@ -29,19 +31,13 @@ def small_cfg(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def scalar_layer(values, top_k=2) -> MoELayer:
-    """d_model=1 layer whose expert i has w_up = values[i] (other tensors fixed)."""
-    cfg = MoEConfig(n_experts=len(values), top_k=top_k)
-    experts = [
-        FFNWeights(
-            Tensor(np.array([[v]], dtype=np.float32)),
-            Tensor(np.zeros(1, dtype=np.float32)),
-            Tensor(np.ones((1, 1), dtype=np.float32)),
-            Tensor(np.zeros(1, dtype=np.float32)),
-        )
-        for v in values
-    ]
-    return MoELayer(experts, Tensor(np.zeros((len(values), 1), dtype=np.float32)), cfg)
+def tiny_moe_layer(w_ups):
+    return tiny_moe(w_ups).blocks[0].slot
+
+
+def merged_w_up(w_ups, alpha) -> np.ndarray:
+    """w_up of ``tiny_moe(w_ups)`` merged with the coefficients ``alpha``."""
+    return _merge_fixed(tiny_moe(w_ups), [alpha]).blocks[0].slot.w_up.data
 
 
 def tiny_corpus(n=12) -> list[InstructionExample]:
@@ -54,54 +50,56 @@ def tiny_corpus(n=12) -> list[InstructionExample]:
 
 class TestMergeFixed:
     def test_one_hot_selects_expert_exactly(self):
-        layer = scalar_layer([1.5, -2.0, 7.0])
-        merged = merge_fixed(layer, [0.0, 0.0, 1.0])
-        assert merged.w_up.data[0, 0] == 7.0
+        assert merged_w_up([1.5, -2.0, 7.0], [0.0, 0.0, 1.0])[0, 0] == 7.0
 
     def test_midpoint_of_two_experts(self):
-        layer = scalar_layer([0.0, 0.0])
-        layer.experts[0].w_up = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
-        layer.experts[1].w_up = Tensor(np.array([[3.0, 2.0], [2.0, 3.0]], dtype=np.float32))
-        merged = merge_fixed(layer, [0.5, 0.5])
-        assert np.array_equal(merged.w_up.data, np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float32))
+        w_ups = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[3.0, 2.0], [2.0, 3.0]])]
+        assert np.array_equal(merged_w_up(w_ups, [0.5, 0.5]),
+                              np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float32))
 
     def test_identical_experts_are_a_fixed_point(self):
-        layer = scalar_layer([3.0, 3.0, 3.0, 3.0])
-        merged = merge_fixed(layer, [0.1, 0.2, 0.3, 0.4])
-        assert merged.w_up.data[0, 0] == pytest.approx(3.0, abs=1e-7)
+        merged = merged_w_up([3.0, 3.0, 3.0, 3.0], [0.1, 0.2, 0.3, 0.4])
+        assert merged[0, 0] == pytest.approx(3.0, abs=1e-7)
 
     def test_sum_violation_rejected(self):
-        layer = scalar_layer([1.0, 2.0])
         with pytest.raises(ValueError, match="sum to 1"):
-            merge_fixed(layer, [0.6, 0.6])
+            merged_w_up([1.0, 2.0], [0.6, 0.6])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            merge_fixed(scalar_layer([1.0, 2.0]), [bad, 0.5])
+            merged_w_up([1.0, 2.0], [bad, 0.5])
 
     def test_negative_coefficient_rejected(self):
-        layer = scalar_layer([1.0, 2.0])
         with pytest.raises(ValueError, match="non-negative"):
-            merge_fixed(layer, [1.5, -0.5])
+            merged_w_up([1.0, 2.0], [1.5, -0.5])
 
-    def test_linearity_under_expert_scaling(self):
-        rng = np.random.default_rng(0)
-        cfg = small_cfg(n_layers=1)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           c=st.floats(-8.0, -0.125) | st.floats(0.125, 8.0))
+    def test_linearity_under_expert_scaling(self, seed, c):
+        # scaling every expert tensor by c scales every merged FFN tensor by c,
+        # up to float32 rounding of the products and sums
+        rng = np.random.default_rng(seed)
+        cfg = small_cfg()
         moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=1), MoEConfig(4, 2), seed=2)
-        layer = moe.blocks[0].slot
-        for expert in layer.experts:  # make experts distinct
-            expert.w_up.data += rng.normal(size=expert.w_up.shape).astype(np.float32)
-        alpha = rng.dirichlet(np.ones(4))
-        base = merge_fixed(layer, alpha)
-        c = 3.0
-        for expert in layer.experts:
-            for t in expert.tensors().values():
-                t.data *= c
-        scaled = merge_fixed(layer, alpha)
-        for key in ("w_up", "b_up", "w_down", "b_down"):
-            assert np.allclose(scaled.tensors()[key].data, c * base.tensors()[key].data,
-                               rtol=1e-6, atol=1e-6)
+        for block in moe.blocks:  # make experts distinct
+            for expert in block.slot.experts:
+                for t in expert.tensors().values():
+                    t.data += rng.normal(size=t.shape).astype(np.float32)
+        alphas = rng.dirichlet(np.ones(4), size=cfg.n_layers)
+        params = moe.named_parameters()
+        base = _merge_fixed(moe, alphas).named_parameters()
+        bounds = {name: 1e-6 * abs(c) * max(
+                      np.abs(params[name.replace(".ffn.", f".moe.experts.{e}.")].data).max()
+                      for e in range(4))
+                  for name in base if ".ffn." in name}
+        for name, t in params.items():
+            if ".moe.experts." in name:
+                t.data *= np.float32(c)
+        scaled = _merge_fixed(moe, alphas).named_parameters()
+        for name, bound in bounds.items():
+            assert np.abs(scaled[name].data - np.float32(c) * base[name].data).max() <= bound
 
 
 class TestInitMixingCoefficients:
@@ -158,15 +156,6 @@ class TestMergeXft:
                         t.data += 0.05 * rng.normal(size=t.shape).astype(np.float32)
         return cfg, moe
 
-    def test_rate_one_equals_shared_extraction(self):
-        cfg, moe = self.build_moe()
-        coeffs = init_mixing_coefficients(4, cfg.n_layers, lam=1.0)
-        merged = merge_xft(moe, coeffs)
-        extracted = extract_shared_expert(moe)
-        tokens = [1, 2, 3, 4]
-        with tn.no_grad():
-            assert np.array_equal(merged.logits(tokens).data, extracted.logits(tokens).data)
-
     def test_rate_zero_two_experts_keeps_normal_expert(self):
         cfg, moe = self.build_moe(n=2, k=2)
         coeffs = init_mixing_coefficients(2, cfg.n_layers, lam=0.0)
@@ -180,7 +169,7 @@ class TestMergeXft:
         logits = [Tensor(rng.normal(size=3).astype(np.float32)) for _ in range(cfg.n_layers)]
         coeffs = MixingCoefficients(logits, lam=0.4, n_experts=4)
         merged = merge_xft(moe, coeffs)
-        extracted = extract_shared_expert(moe)
+        extracted = merge_xft(moe, init_mixing_coefficients(4, cfg.n_layers, lam=1.0))
         tokens = [5, 6, 7]
         with tn.no_grad():
             diff = np.abs(merged.logits(tokens).data - extracted.logits(tokens).data).max()
@@ -197,7 +186,6 @@ class TestMergeXft:
         before = {k: v.data.copy() for k, v in moe.named_parameters().items()}
         merge_xft(moe, init_mixing_coefficients(4, cfg.n_layers, lam=0.75))
         merge_uniform(moe)
-        extract_shared_expert(moe)
         after = moe.named_parameters()
         for name, arr in before.items():
             assert np.array_equal(arr, after[name].data), name
@@ -313,26 +301,26 @@ class TestLearnMixingCoefficients:
 
 class TestEWA:
     def test_beta_zero_is_identity(self):
-        layer = scalar_layer([0.0, 1.0])
+        layer = tiny_moe_layer([0.0, 1.0])
         ewa_step(layer, 0.0)
         assert layer.experts[0].w_up.data[0, 0] == 0.0
         assert layer.experts[1].w_up.data[0, 0] == 1.0
 
     def test_beta_one_collapses_to_mean(self):
-        layer = scalar_layer([0.0, 1.0])
+        layer = tiny_moe_layer([0.0, 1.0])
         ewa_step(layer, 1.0)
         assert layer.experts[0].w_up.data[0, 0] == pytest.approx(0.5)
         assert layer.experts[1].w_up.data[0, 0] == pytest.approx(0.5)
 
     def test_single_step_hand_values(self):
-        layer = scalar_layer([0.0, 1.0])
+        layer = tiny_moe_layer([0.0, 1.0])
         ewa_step(layer, 0.3)
         assert layer.experts[0].w_up.data[0, 0] == pytest.approx(0.15, abs=1e-7)
         assert layer.experts[1].w_up.data[0, 0] == pytest.approx(0.85, abs=1e-7)
 
     def test_constant_beta_sequence_matches_closed_form(self):
         # deviations from the (invariant) mean decay by (1 - beta) per step
-        layer = scalar_layer([0.0, 1.0])
+        layer = tiny_moe_layer([0.0, 1.0])
         beta, steps = 0.3, 3
         for _ in range(steps):
             ewa_step(layer, beta)
@@ -342,7 +330,7 @@ class TestEWA:
 
     def test_out_of_range_beta_rejected(self):
         with pytest.raises(ValueError):
-            ewa_step(scalar_layer([0.0, 1.0]), 1.5)
+            ewa_step(tiny_moe_layer([0.0, 1.0]), 1.5)
 
     def test_linear_schedule_ramps_zero_to_beta(self):
         cfg = EWAConfig(beta=0.3, schedule="linear")
@@ -382,11 +370,9 @@ class TestEWAFinalize:
         assert np.allclose(dense.blocks[0].slot.w_up.data, expected, atol=1e-7)
 
     def test_zero_and_m_average_to_half_m(self):
-        layer = scalar_layer([0.0, 6.0])
-        merged = merge_fixed(layer, [0.5, 0.5])
-        assert merged.w_up.data[0, 0] == pytest.approx(3.0)
+        merged = merge_uniform(tiny_moe([0.0, 6.0]))
+        assert merged.blocks[0].slot.w_up.data[0, 0] == pytest.approx(3.0)
 
     def test_three_scalar_experts_mean(self):
-        layer = scalar_layer([1.0, 2.0, 6.0])
-        merged = merge_fixed(layer, np.full(3, 1 / 3))
-        assert merged.w_up.data[0, 0] == pytest.approx(3.0, abs=1e-6)
+        merged = merge_uniform(tiny_moe([1.0, 2.0, 6.0]))
+        assert merged.blocks[0].slot.w_up.data[0, 0] == pytest.approx(3.0, abs=1e-6)

@@ -17,7 +17,7 @@ from xft.model import (
     generate_greedy,
     model_forward_loss,
 )
-from xft.merge import extract_shared_expert, init_mixing_coefficients, merge_uniform, merge_xft
+from xft.merge import init_mixing_coefficients, merge_uniform, merge_xft
 from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.tensor import Tensor
 
@@ -354,6 +354,7 @@ class TestSeededConstructorBytes:
                     t.data += (0.05 * rng.normal(size=t.shape)).astype(np.float32)
                 expert.w_up.data[0] = -0.0
         got["uniform"] = self.digest(merge_uniform(moe))
-        got["extract-shared"] = self.digest(extract_shared_expert(moe))
+        got["extract-shared"] = self.digest(
+            merge_xft(moe, init_mixing_coefficients(4, cfg.n_layers, 1.0)))
         got["xft"] = self.digest(merge_xft(moe, init_mixing_coefficients(4, cfg.n_layers, 0.75)))
         assert got == self.PINNED

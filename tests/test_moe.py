@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xft import tensor as tn
 from xft.model import ModelConfig, build_dense_model, model_forward_loss
@@ -260,6 +262,68 @@ class TestGroupedDispatch:
             grads.append([p.grad.copy() for p in params])
         for grouped, ref in zip(*grads):
             assert np.allclose(grouped, ref, rtol=1e-9, atol=1e-12)
+
+
+def random_layer(rng, n: int, k: int, d: int = 8, d_ff: int = 12) -> MoELayer:
+    """MoE layer with independent random experts and centroids."""
+    shapes = ((d, d_ff), (d_ff,), (d_ff, d), (d,))
+    experts = [FFNWeights(*(Tensor(rng.normal(scale=0.3, size=s).astype(np.float32))
+                            for s in shapes)) for _ in range(n)]
+    return MoELayer(experts, Tensor(rng.normal(size=(n, d)).astype(np.float32)), MoEConfig(n, k))
+
+
+@st.composite
+def routed_inputs(draw):
+    """(layer, u) for a random layer of 2-8 experts, top_k in [2, N], and 1-16 input rows."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = random_layer(rng, n, k)
+    scale = draw(st.floats(0.1, 4.0))
+    u = Tensor((scale * rng.normal(size=(draw(st.integers(1, 16)), 8))).astype(np.float32))
+    return layer, u
+
+
+class TestRoutingProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(routed_inputs())
+    def test_gates_sum_to_one_and_shared_gate_is_one_minus_s_max(self, case):
+        layer, u = case
+        with tn.no_grad():
+            _, record = layer.forward(u)
+        assert np.abs(record.gates.sum(axis=1) - 1.0).max() < 1e-5
+        assert (record.selected[:, 0] == SHARED_EXPERT).all()
+        assert np.abs(record.gates[:, 0] - (1.0 - record.scores.max(axis=1))).max() < 1e-7
+
+    @settings(max_examples=20, deadline=None)
+    @given(routed_inputs())
+    def test_tied_scores_select_the_lowest_expert_indices(self, case):
+        layer, u = case
+        layer.centroids.data[1:] = 0.0  # every normal expert gets the same score
+        with tn.no_grad():
+            _, record = layer.forward(u)
+        assert (record.selected == np.arange(layer.cfg.top_k)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(routed_inputs(), st.randoms(use_true_random=False))
+    def test_permuting_normal_experts_permutes_selection(self, case, random):
+        layer, u = case
+        n, r = layer.cfg.n_experts, layer.cfg.top_k - 1
+        perm = list(range(n - 1))
+        random.shuffle(perm)
+        order = [SHARED_EXPERT] + [1 + p for p in perm]  # new expert j is old expert order[j]
+        permuted = MoELayer([layer.experts[e] for e in order],
+                            Tensor(layer.centroids.data[order]), layer.cfg)
+        with tn.no_grad():
+            h, record = layer.forward(u)
+            h_perm, record_perm = permuted.forward(u)
+        # a near-tie among the ranked scores may break either way once the
+        # softmax sums in the permuted order
+        ranked = -np.sort(-record.scores, axis=1)[:, :r + 1]
+        assume(ranked.shape[1] < 2 or np.diff(ranked, axis=1).max() < -1e-5)
+        new_index = np.argsort(order)  # old expert e is new expert new_index[e]
+        assert np.array_equal(record_perm.selected, new_index[record.selected])
+        assert np.allclose(h_perm.data, h.data, rtol=1e-5, atol=1e-5)
 
 
 class TestRoutingRecord:
