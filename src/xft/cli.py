@@ -1,8 +1,8 @@
 """Pipeline command line: init, fine-tune, upcycle, merge, inspect, verify.
 
 Exit codes: 0 success, 1 usage, 2 I/O, parse or invalid input,
-3 verification failure. Seeds default to the XFT_SEED environment
-variable, then 0.
+3 verification failure. A command's ``--seed`` defaults to the XFT_SEED
+environment variable, then 0; ``merge`` is deterministic and takes no seed.
 """
 
 from __future__ import annotations
@@ -93,10 +93,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-sft", help="supervised fine-tuning of a dense model")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None,
-                   help=f"default {MOE_EPOCHS_DEFAULT}; --fairness uses the MoE+merge budget")
-    p.add_argument("--fairness", action="store_true",
-                   help="train for (MoE epochs + merge epochs) to match the two-phase budget")
+    p.add_argument("--epochs", type=int, default=MOE_EPOCHS_DEFAULT)
     _add_train_args(p, SFT_LR_DEFAULT)
     _add_seed(p)
 
@@ -116,7 +113,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=MOE_EPOCHS_DEFAULT)
     p.add_argument("--ewa-beta", type=float, default=None,
                    help=f"enable EWA expert blending (reference share rate {EWA_DEFAULT_BETA})")
-    p.add_argument("--ewa-schedule", choices=("constant", "linear"), default="constant")
+    p.add_argument("--ewa-schedule", choices=("constant", "linear"), default=None,
+                   help="with --ewa-beta: share rate schedule (default constant)")
     _add_train_args(p, MOE_LR_DEFAULT)
     _add_seed(p)
 
@@ -139,7 +137,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="shared_rate", type=float, default=None,
                    help=f"shared rate of initialized xft coefficients, without --coeffs "
                         f"(default {DEFAULT_SHARED_RATE})")
-    _add_seed(p)
 
     p = sub.add_parser("eval-loss", help="masked next-token loss over a dataset")
     p.add_argument("--ckpt", required=True)
@@ -211,14 +208,11 @@ def cmd_train_sft(args) -> int:
     if model.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds an MoE model; use train-moe")
     examples = load_instruction_dataset(args.data)
-    epochs = args.epochs
-    if epochs is None:
-        epochs = MOE_EPOCHS_DEFAULT + MERGE_EPOCHS_DEFAULT if args.fairness \
-            else MOE_EPOCHS_DEFAULT
-    hyper = _resolve_hyper(args, len(examples), epochs)
+    hyper = _resolve_hyper(args, len(examples), args.epochs)
     curve = sft_train(model, examples, hyper)
     _report_curve(args, curve, len(examples))
-    save_checkpoint(model, args.out, meta={"phase": "sft", "seed": args.seed, "epochs": epochs})
+    save_checkpoint(model, args.out,
+                    meta={"phase": "sft", "seed": args.seed, "epochs": args.epochs})
     print(f"wrote fine-tuned dense model to {args.out}")
     return EXIT_OK
 
@@ -235,6 +229,8 @@ def cmd_upcycle(args) -> int:
 
 
 def cmd_train_moe(args) -> int:
+    if args.ewa_schedule is not None and args.ewa_beta is None:
+        raise ValueError("--ewa-schedule needs --ewa-beta")
     model = load_checkpoint(args.ckpt)
     if not model.is_moe:
         raise CheckpointError(f"{args.ckpt!r} holds a dense model; use train-sft")
@@ -243,7 +239,7 @@ def cmd_train_moe(args) -> int:
 
     post_step = None
     if args.ewa_beta is not None:
-        ewa_cfg = EWAConfig(beta=args.ewa_beta, schedule=args.ewa_schedule)
+        ewa_cfg = EWAConfig(beta=args.ewa_beta, schedule=args.ewa_schedule or "constant")
         total_steps = hyper.epochs * steps_per_epoch(len(examples), hyper.batch_size)
 
         def post_step(step):
@@ -256,7 +252,7 @@ def cmd_train_moe(args) -> int:
     meta = {"phase": "moe-sft", "seed": args.seed, "epochs": args.epochs}
     if args.ewa_beta is not None:
         meta["ewa_beta"] = args.ewa_beta
-        meta["ewa_schedule"] = args.ewa_schedule
+        meta["ewa_schedule"] = ewa_cfg.schedule
     save_checkpoint(model, args.out, meta=meta)
     print(f"wrote fine-tuned MoE model to {args.out}")
     return EXIT_OK

@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import Transformer, assemble, model_forward_loss
+from xft.model import Transformer, assemble, model_forward_loss, pack_batch
 from xft.moe import MoELayer
 from xft.tensor import Tensor
-from xft.train import InstructionExample, TrainHyper, pack_batch, sft_train
+from xft.train import InstructionExample, TrainHyper, sft_train
 
 DEFAULT_SHARED_RATE = 0.75       # 8-expert configuration
 EWA_DEFAULT_BETA = 0.3
@@ -151,8 +151,9 @@ def _mix(experts: list[Tensor], coefs) -> Tensor:
 
 def _merged(model: Transformer, coefs: list) -> Transformer:
     """The dense model whose layer-i FFN tensors mix that layer's experts with
-    ``coefs[i]``; every other tensor is the MoE model's own, not a copy."""
-    params = model.named_parameters()
+    ``coefs[i]``. The MoE's buffers are read through frozen aliases, not
+    copies, so no gradient reaches the MoE model."""
+    params = {name: Tensor(t.data) for name, t in model.named_parameters().items()}
     n = model.moe_cfg.n_experts
 
     def tensor(name: str, shape) -> Tensor:
@@ -169,7 +170,7 @@ def _merge_fixed(model: Transformer, alphas) -> Transformer:
     """A standalone dense model mixing layer i's experts with ``alphas[i]``."""
     coefs = [_convex(a, _n_experts(model)) for a in alphas]
     with tn.no_grad():
-        return _merged(model, coefs).copy(requires_grad=True)
+        return _merged(model, coefs).copy()
 
 
 def merge_xft(model: Transformer, coeffs: MixingCoefficients) -> Transformer:
@@ -219,20 +220,16 @@ def ewa_step(layer: MoELayer, beta: float) -> None:
 
 
 class _MergedTrainable:
-    """Merge-phase adapter: only the mixing logits are trainable.
-
-    The MoE model's own tensors are wrapped as frozen views, and every
-    ``batch_loss`` call mixes the merged dense weights from the current
-    logits, so gradients reach the logits and nothing else.
+    """The merge phase's trainable for ``sft_train``: only the mixing logits
+    train. Every ``batch_loss`` call mixes the merged dense weights from the
+    current logits over frozen aliases of the MoE's buffers, so gradients
+    reach the logits and nothing else.
     """
 
     def __init__(self, model: Transformer, coeffs: MixingCoefficients):
+        self.model = model
+        self.cfg = model.cfg
         self.coeffs = coeffs
-        self._view = model.copy(share_data=True, requires_grad=False)
-
-    @property
-    def max_seq_len(self) -> int:
-        return self._view.cfg.max_seq_len
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {f"layers.{i}.mixing_logits": t for i, t in enumerate(self.coeffs.logits)}
@@ -240,7 +237,7 @@ class _MergedTrainable:
     def batch_loss(self, batch) -> Tensor:
         """Task loss of the (tokens, mask) examples through the merged model."""
         coefs = [self.coeffs.graph_alphas(i) for i in range(self.coeffs.n_layers)]
-        return model_forward_loss(_merged(self._view, coefs), *pack_batch(batch))[1]
+        return model_forward_loss(_merged(self.model, coefs), *pack_batch(batch))[1]
 
 
 def learn_mixing_coefficients(model: Transformer, examples: Sequence[InstructionExample],

@@ -48,8 +48,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(d[k]) for k in (
+        return cls(**{k: config_field(d, k, int) for k in (
             "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len")})
+
+
+def config_field(d: dict, key: str, kind: type):
+    """``d[key]`` as ``kind``, which it must already be in JSON terms: an int
+    that is not a bool, a bool, or for float any number that is not a bool;
+    anything else is a TypeError."""
+    value = d[key]
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise TypeError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass
@@ -136,6 +147,12 @@ def pack_sequences(sequences) -> tuple[np.ndarray, np.ndarray]:
     lengths = [len(s) for s in sequences]
     bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
     return np.concatenate([np.asarray(s) for s in sequences]), bounds
+
+
+def pack_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tokens, loss mask, bounds) of a list of (tokens, mask) examples."""
+    tokens, bounds = pack_sequences([tokens for tokens, _ in batch])
+    return tokens, np.concatenate([mask for _, mask in batch]), bounds
 
 
 def token_chunks(items, budget: int, length=len):
@@ -229,22 +246,20 @@ class Transformer:
         params["unembed"] = self.unembed
         return params
 
-    def copy(self, dtype=None, share_data: bool = False, requires_grad: bool | None = None) -> "Transformer":
-        """Structural copy. ``share_data`` aliases the underlying buffers
-        (used to build frozen views); otherwise buffers are copied."""
+    def batch_loss(self, batch) -> Tensor:
+        """Mean over the (tokens, mask) examples of each one's masked mean loss."""
+        return model_forward_loss(self, *pack_batch(batch))[1]
+
+    def copy(self, dtype=None) -> "Transformer":
+        """Structural copy with trainable leaves; buffers are copied, or
+        converted to ``dtype`` when given."""
         params = self.named_parameters()
 
-        def conv(name: str, shape) -> Tensor:
-            t = params[name]
-            data = t.data
-            if dtype is not None:
-                data = data.astype(dtype)
-            elif not share_data:
-                data = data.copy()
-            rg = t.requires_grad if requires_grad is None else requires_grad
-            return Tensor(data, requires_grad=rg)
+        def leaf(name: str, shape) -> Tensor:
+            data = params[name].data
+            return Tensor(data.copy() if dtype is None else data.astype(dtype), requires_grad=True)
 
-        return assemble(self.cfg, self.moe_cfg, conv)
+        return assemble(self.cfg, self.moe_cfg, leaf)
 
 
 def assemble(cfg: ModelConfig, moe_cfg, tensor) -> Transformer:

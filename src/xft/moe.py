@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights, Transformer, assemble, ffn_forward
+from xft.model import FFNWeights, Transformer, assemble, config_field, ffn_forward
 from xft.tensor import Tensor
 
 SHARED_EXPERT = 0
@@ -56,10 +56,10 @@ class MoEConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "MoEConfig":
         return cls(
-            n_experts=int(d["n_experts"]),
-            top_k=int(d["top_k"]),
-            normalization_enabled=bool(d["normalization_enabled"]),
-            router_init_std=float(d["router_init_std"]),
+            n_experts=config_field(d, "n_experts", int),
+            top_k=config_field(d, "top_k", int),
+            normalization_enabled=config_field(d, "normalization_enabled", bool),
+            router_init_std=config_field(d, "router_init_std", float),
         )
 
 

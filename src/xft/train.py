@@ -2,9 +2,9 @@
 MoE, and the mixing-coefficient learning phase.
 
 Training is strictly sequential and seeded: the same (model, data, hyper,
-seed) produces bit-identical parameters. What gets trained is decided by the
-adapter handed to ``sft_train``: a plain transformer trains everything, the
-merge-phase adapter exposes only its mixing logits.
+seed) produces bit-identical parameters. What gets trained is what the
+trainable handed to ``sft_train`` names: a transformer trains everything, the
+merge phase trains only its mixing logits.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from xft.model import (
     EVAL_PACK_TOKENS,
     Transformer,
     model_forward_loss,
-    pack_sequences,
+    pack_batch,
     token_chunks,
 )
 from xft.tensor import Tensor
@@ -167,12 +167,6 @@ def tokenize_and_mask(ex: InstructionExample, tokenizer: ByteTokenizer,
     return tokens, mask
 
 
-def pack_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tokens, loss mask, bounds) of a list of (tokens, mask) examples."""
-    tokens, bounds = pack_sequences([tokens for tokens, _ in batch])
-    return tokens, np.concatenate([mask for _, mask in batch]), bounds
-
-
 def encode_examples(examples: Sequence[InstructionExample], max_seq_len: int) -> list:
     """``tokenize_and_mask`` under the byte tokenizer of every example whose
     output survives truncation."""
@@ -197,39 +191,20 @@ def dataset_loss(model: Transformer, examples: Sequence[InstructionExample]) -> 
     return total / weight
 
 
-class ModelTrainable:
-    """Adapter exposing every model parameter to the training loop."""
-
-    def __init__(self, model: Transformer):
-        self.model = model
-
-    @property
-    def max_seq_len(self) -> int:
-        return self.model.cfg.max_seq_len
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.model.named_parameters()
-
-    def batch_loss(self, batch) -> Tensor:
-        """Mean over the (tokens, mask) examples of each one's masked mean loss."""
-        return model_forward_loss(self.model, *pack_batch(batch))[1]
-
-
 def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyper,
               post_step: Callable[[int], None] | None = None) -> list[float]:
     """Seeded shuffled mini-batch training; returns the per-step loss curve.
 
-    ``trainable`` is either a Transformer (all parameters trained) or an
-    adapter with ``named_parameters``/``batch_loss``. Each step is one graph
-    over the whole packed minibatch. Aborts with
-    TrainingDiverged on a non-finite loss, leaving no partial output.
+    ``trainable`` has a ``cfg``, ``named_parameters()`` (what gets trained)
+    and ``batch_loss(batch)``: a Transformer trains all its parameters, the
+    merge phase's trainable only its mixing logits. Each step is one graph
+    over the whole packed minibatch. Aborts with TrainingDiverged on a
+    non-finite loss, leaving no partial output.
     """
-    if isinstance(trainable, Transformer):
-        trainable = ModelTrainable(trainable)
     if not examples:
         raise ValueError("dataset must be nonempty")
 
-    encoded = encode_examples(examples, trainable.max_seq_len)
+    encoded = encode_examples(examples, trainable.cfg.max_seq_len)
     if not encoded:
         raise ValueError("no usable examples after tokenization")
 

@@ -280,7 +280,7 @@ def smoke(tmp_path_factory):
         "--epochs", "2", "--lr", "1e-3", "--warmup", "10", "--batch-size", "8", "--seed", "1")
     # dense baseline at the MoE budget (4 + 1 epochs) and learning rate
     run("train-sft", "--ckpt", paths["warm"], "--data", train_path, "--out", paths["baseline"],
-        "--fairness", "--lr", "2e-4", "--warmup", "20", "--batch-size", "8", "--seed", "11")
+        "--epochs", "5", "--lr", "2e-4", "--warmup", "20", "--batch-size", "8", "--seed", "11")
     run("upcycle", "--ckpt", paths["warm"], "--out", paths["moe0"],
         "--experts", "8", "--topk", "6", "--seed", "2")
     moe_curve = str(root / "moe_curve.json")

@@ -1,5 +1,8 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import argparse
+import ast
+import inspect
 import json
 import re
 import shlex
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from xft.checkpoint import load_checkpoint, read_checkpoint_config, save_checkpoint
+from xft import cli
 from xft.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, cli_dispatch
 from xft.dataset import save_instruction_dataset
 from xft.merge import init_mixing_coefficients
@@ -58,6 +62,35 @@ class TestUsage:
         parser = build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_every_declared_flag_is_read(self):
+        """Each subcommand's handler, or a module function it hands ``args``
+        to, reads every dest its parser declares."""
+        tree = ast.parse(inspect.getsource(cli))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def reads(name, seen):
+            seen.add(name)
+            found = set()
+            for node in ast.walk(functions[name]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "args" and isinstance(node.ctx, ast.Load)):
+                    found.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in functions and node.func.id not in seen
+                      and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                    found |= reads(node.func.id, seen)
+            return found
+
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        unread = {}
+        for command, sub in subparsers.choices.items():
+            declared = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+            missing = declared - reads(cli._HANDLERS[command].__name__, set())
+            if missing:
+                unread[command] = sorted(missing)
+        assert unread == {}
 
 
 class TestIOErrors:
@@ -214,12 +247,13 @@ class TestPipelineCommands:
         assert read_checkpoint_config(str(out))["meta"]["phase"] == "sft"
         assert len(json.loads(curve.read_text())) == 3
 
-    def test_fairness_budget_is_moe_plus_merge_epochs(self, workspace):
+    def test_fairness_flag_is_usage_error(self, workspace):
+        # the MoE + merge budget is --epochs 5
         tmp_path, dense, data = workspace
         out = tmp_path / "fair.xftc"
         assert run("train-sft", "--ckpt", dense, "--data", data, "--out", str(out),
-                   "--fairness", "--batch-size", "4") == EXIT_OK
-        assert read_checkpoint_config(str(out))["meta"]["epochs"] == 5
+                   "--fairness", "--batch-size", "4") == EXIT_USAGE
+        assert not out.exists()
 
     def test_learn_merge_then_merge(self, workspace):
         tmp_path, dense, data = workspace
@@ -296,6 +330,26 @@ class TestPipelineCommands:
                    "--epochs", "1", "--batch-size", "4", "--ewa-beta", "0.3") == EXIT_OK
         meta = read_checkpoint_config(str(out))["meta"]
         assert meta["ewa_beta"] == 0.3 and meta["ewa_schedule"] == "constant"
+
+    def test_ewa_schedule_without_beta_writes_nothing(self, workspace, capsys):
+        tmp_path, dense, data = workspace
+        moe = tmp_path / "moe.xftc"
+        run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "2")
+        out = tmp_path / "ewa.xftc"
+        assert run("train-moe", "--ckpt", str(moe), "--data", data, "--out", str(out),
+                   "--epochs", "1", "--batch-size", "4", "--ewa-schedule", "linear") == EXIT_IO
+        assert "--ewa-beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_merge_takes_no_seed(self, workspace, monkeypatch):
+        tmp_path, dense, _ = workspace
+        moe = tmp_path / "moe.xftc"
+        run("upcycle", "--ckpt", dense, "--out", str(moe), "--experts", "4", "--topk", "2")
+        out = tmp_path / "merged.xftc"
+        assert run("merge", "--ckpt", str(moe), "--out", str(out), "--seed", "5") == EXIT_USAGE
+        assert not out.exists()
+        monkeypatch.setenv("XFT_SEED", "abc")  # merge never reads it
+        assert run("merge", "--ckpt", str(moe), "--out", str(out)) == EXIT_OK
 
     def test_train_sft_reruns_byte_identical(self, workspace):
         tmp_path, dense, data = workspace

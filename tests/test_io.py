@@ -16,6 +16,7 @@ from xft.checkpoint import (
     read_checkpoint_config,
     save_checkpoint,
 )
+from xft.cli import EXIT_IO, cli_dispatch
 from xft.dataset import DatasetError, load_instruction_dataset, save_instruction_dataset
 from xft.model import ModelConfig, build_dense_model
 from xft.moe import MoEConfig, upcycle_dense_to_moe
@@ -223,6 +224,29 @@ class TestCheckpointDirectory:
         extra = [("layers.0.moe.experts.9.b_up", (4,), len(data))]
         with pytest.raises(CheckpointError, match="unexpected.*experts.9"):
             self.load(tmp_path, config, entries + extra, data + bytes(16))
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("moe", "normalization_enabled", "false"),
+        ("moe", "normalization_enabled", 0),
+        ("moe", "n_experts", 4.7),
+        ("moe", "top_k", True),
+        ("moe", "router_init_std", "0.02"),
+        ("model", "d_model", 8.9),
+        ("model", "n_layers", "2"),
+    ])
+    def test_config_field_of_wrong_type_rejected(self, tmp_path, section, field, value):
+        _, config, entries, data = self.parts()
+        config[section] = dict(config[section], **{field: value})
+        with pytest.raises(CheckpointError, match=field):
+            self.load(tmp_path, config, entries, data)
+
+    def test_config_field_of_wrong_type_exits_2(self, tmp_path, capsys):
+        _, config, entries, data = self.parts()
+        config["moe"] = dict(config["moe"], normalization_enabled="false")
+        path = tmp_path / "c.xftc"
+        path.write_bytes(checkpoint_bytes(config, entries, data))
+        assert cli_dispatch(["generate", "--ckpt", str(path), "--prompt", "hi"]) == EXIT_IO
+        assert "normalization_enabled" in capsys.readouterr().err
 
     def test_dense_config_with_moe_tensors_rejected(self, tmp_path):
         _, config, entries, data = self.parts()

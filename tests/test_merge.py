@@ -292,6 +292,22 @@ class TestLearnMixingCoefficients:
             assert np.array_equal(arr, after[name].data), name
         assert any(np.abs(t.data).max() > 0 for t in coeffs.logits)
 
+    @pytest.mark.parametrize("unconstrained", [False, True], ids=["xft", "soup"])
+    def test_learned_merge_leaves_moe_alone(self, unconstrained):
+        cfg = small_cfg(vocab_size=259)  # byte-tokenizer vocabulary
+        moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=17), MoEConfig(4, 3), seed=18)
+        rng = np.random.default_rng(19)
+        for block in moe.blocks:
+            for expert in block.slot.experts:
+                for t in expert.tensors().values():
+                    t.data += 0.1 * rng.normal(size=t.shape).astype(np.float32)
+        before = {k: v.data.tobytes() for k, v in moe.named_parameters().items()}
+        hyper = TrainHyper(batch_size=4, peak_lr=0.05, warmup_steps=1, epochs=1, seed=3)
+        learn_mixing_coefficients(moe, tiny_corpus(), 0.6, hyper, unconstrained=unconstrained)
+        for name, t in moe.named_parameters().items():
+            assert t.grad is None, name
+            assert t.data.tobytes() == before[name], name
+
     def test_rate_validation(self):
         cfg = small_cfg()
         moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=1), MoEConfig(4, 3), seed=2)

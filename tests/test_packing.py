@@ -7,7 +7,6 @@ from xft import tensor as tn
 from xft.merge import _MergedTrainable, init_mixing_coefficients
 from xft.model import ModelConfig, build_dense_model, pack_sequences
 from xft.moe import MoEConfig, upcycle_dense_to_moe
-from xft.train import ModelTrainable
 
 CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=12)
 LENGTHS = (7, 2, 12, 5)  # unequal, one of length 2, one at max_seq_len
@@ -38,11 +37,11 @@ def distinct_moe(seed: int, n: int = 4, k: int = 3):
 
 
 def dense_trainable():
-    return ModelTrainable(build_dense_model(CFG, seed=3))
+    return build_dense_model(CFG, seed=3)
 
 
 def moe_trainable():
-    return ModelTrainable(distinct_moe(seed=4))
+    return distinct_moe(seed=4)
 
 
 def merged_trainable():
@@ -84,7 +83,7 @@ class TestPackedMatchesPerExample:
 
     @pytest.mark.parametrize("kind", ["dense", "moe"])
     def test_segment_logits_match_single_runs(self, kind):
-        model = TRAINABLES[kind]().model
+        model = TRAINABLES[kind]()
         seqs = [tokens for tokens, _ in random_batch(LENGTHS, seed=8)]
         with tn.no_grad():
             packed = model.logits(*pack_sequences(seqs)).data
@@ -95,7 +94,7 @@ class TestPackedMatchesPerExample:
 class TestNoCrossContamination:
     @pytest.mark.parametrize("kind", ["dense", "moe"])
     def test_perturbing_one_segment_leaves_others_bit_identical(self, kind):
-        model = TRAINABLES[kind]().model
+        model = TRAINABLES[kind]()
         seqs = [tokens for tokens, _ in random_batch(LENGTHS, seed=9)]
         tokens, bounds = pack_sequences(seqs)
         with tn.no_grad():

@@ -202,7 +202,7 @@ class TestSFTTrain:
 
     def test_divergence_aborts(self):
         class ExplodingTrainable:
-            max_seq_len = 48
+            cfg = text_cfg()
 
             def __init__(self):
                 self._p = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
