@@ -18,6 +18,7 @@ from xft.merge import (
 )
 from xft.model import (
     FFNWeights,
+    KVCache,
     ModelConfig,
     Transformer,
     attention_forward,
@@ -57,6 +58,7 @@ __all__ = [
     "ExpertLoadReport",
     "FFNWeights",
     "InstructionExample",
+    "KVCache",
     "MixingCoefficients",
     "ModelConfig",
     "MoEConfig",

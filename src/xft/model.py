@@ -117,24 +117,55 @@ def _segment_bounds(bounds, n: int) -> np.ndarray:
     return b
 
 
-def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None) -> Tensor:
+def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
+                      cache=None) -> Tensor:
     """Pre-norm multi-head causal self-attention, residual included.
 
     ``u`` holds packed segments split at ``bounds`` (one segment when None).
     A position attends only to earlier-or-equal positions of its own segment;
     masked attention weights are exactly zero, so outputs at position t are
     bit-identical under perturbations of later tokens or of other segments.
+
+    ``cache`` is this layer's (keys, values) for decoding: row views of
+    positions 0 ... past + n - 1, where the n rows of ``u`` are the last n
+    positions of one sequence. Their keys and values are written into the
+    last n rows in place, and the queries attend to all of them.
     """
     bounds = _segment_bounds(bounds, u.shape[0])
-    longest = int(np.diff(bounds).max())
+    past = 0
+    if cache is not None:  # one sequence's rows, which carry no graph
+        if tn.grad_enabled():
+            raise ValueError("a key/value cache is for inference: use it under tn.no_grad()")
+        if bounds.size != 2:
+            raise ValueError(f"a key/value cache takes one segment, got {bounds.size - 1}")
+        past = cache[0].shape[0] - u.shape[0]
+    longest = past + int(np.diff(bounds).max())
     if longest > cfg.max_seq_len:
         raise ValueError(f"sequence length {longest} exceeds max_seq_len {cfg.max_seq_len}")
     x = tn.layer_norm(u, block.ln1.gain, block.ln1.bias)
     q = x @ block.attn.wq + block.attn.bq
     k = x @ block.attn.wk + block.attn.bk
     v = x @ block.attn.wv + block.attn.bv
+    if cache is not None:
+        keys, values = cache
+        keys[past:], values[past:] = k.data, v.data
+        k, v = Tensor(keys), Tensor(values)
     heads = tn.causal_attention(q, k, v, bounds, cfg.n_heads)
     return u + (heads @ block.attn.wo + block.attn.bo)
+
+
+class KVCache:
+    """Keys and values of the positions a model has run so far, for decoding
+    one sequence incrementally: per layer, preallocated [max_seq_len, d_model]
+    buffers written in place. ``length`` counts the valid rows; a forward
+    advances it only after every layer has run, so a call that raises leaves
+    the cache as it was."""
+
+    def __init__(self, model: Transformer):
+        cfg = model.cfg
+        self.length = 0
+        self.keys = np.zeros((cfg.n_layers, cfg.max_seq_len, cfg.d_model), model.tok_emb.dtype)
+        self.values = np.zeros_like(self.keys)
 
 
 # Rows per packed forward when scoring a dataset: bounds memory on large inputs.
@@ -191,40 +222,51 @@ class Transformer:
         """The MoE layers' ``MoEConfig``; None for a dense model."""
         return self.blocks[0].slot.cfg if self.is_moe else None
 
-    def _check_tokens(self, tokens, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated (token ids, positions, bounds); positions restart per segment."""
+    def _check_tokens(self, tokens, bounds, past: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated (token ids, positions, bounds); positions restart per
+        segment, and start at ``past`` for tokens that follow cached ones."""
         idx = np.asarray(tokens, dtype=np.intp)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("tokens must be a nonempty 1-d sequence")
         bounds = _segment_bounds(bounds, idx.size)
         lengths = np.diff(bounds)
-        if lengths.max() > self.cfg.max_seq_len:
-            raise ValueError(
-                f"sequence length {lengths.max()} exceeds max_seq_len {self.cfg.max_seq_len}")
+        if past + lengths.max() > self.cfg.max_seq_len:
+            raise ValueError(f"sequence length {past + lengths.max()} exceeds "
+                             f"max_seq_len {self.cfg.max_seq_len}")
         if idx.min() < 0 or idx.max() >= self.cfg.vocab_size:
             raise ValueError(f"token ids must lie in [0, {self.cfg.vocab_size})")
-        positions = np.arange(idx.size) - np.repeat(bounds[:-1], lengths)
+        positions = past + np.arange(idx.size) - np.repeat(bounds[:-1], lengths)
         return idx, positions, bounds
 
-    def hidden(self, tokens, bounds=None):
+    def hidden(self, tokens, bounds=None, cache: KVCache | None = None):
         """Final hidden states [T, d_model] and per-layer routing records
         (None for dense layers). ``tokens`` may pack several sequences split
-        at ``bounds``; each is processed as if it were alone."""
-        idx, positions, bounds = self._check_tokens(tokens, bounds)
+        at ``bounds``; each is processed as if it were alone.
+
+        With a ``cache`` (under ``tn.no_grad``), ``tokens`` are one sequence
+        that continues the ``cache.length`` positions already run: only the
+        new rows are computed and routed, their keys and values are appended
+        to the cache, and they attend to the cached ones."""
+        past = 0 if cache is None else cache.length
+        idx, positions, bounds = self._check_tokens(tokens, bounds, past)
         x = tn.gather_rows(self.tok_emb, idx) + tn.gather_rows(self.pos_emb, positions)
         routing = []
-        for block in self.blocks:
-            u = attention_forward(x, block, self.cfg, bounds)
+        for i, block in enumerate(self.blocks):
+            kv = None if cache is None else (cache.keys[i, :past + idx.size],
+                                             cache.values[i, :past + idx.size])
+            u = attention_forward(x, block, self.cfg, bounds, kv)
             if isinstance(block.slot, FFNWeights):
                 x = u + ffn_forward(u, block.slot)
                 routing.append(None)
             else:
                 x, record = block.slot.forward(u)
                 routing.append(record)
+        if cache is not None:
+            cache.length = past + idx.size
         return x, routing
 
-    def logits(self, tokens, bounds=None) -> Tensor:
-        h, _ = self.hidden(tokens, bounds)
+    def logits(self, tokens, bounds=None, cache: KVCache | None = None) -> Tensor:
+        h, _ = self.hidden(tokens, bounds, cache)
         return tn.layer_norm(h, self.ln_f.gain, self.ln_f.bias) @ self.unembed
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -354,7 +396,9 @@ def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,
 
 
 def generate_greedy(model: Transformer, prompt, max_new: int) -> list[int]:
-    """Append argmax tokens; ties break toward the lower token id."""
+    """Append argmax tokens; ties break toward the lower token id. The prompt
+    runs once, then each step runs only the newest token against a
+    ``KVCache``, so a request costs O(n) rows rather than O(n^2)."""
     seq = [int(t) for t in prompt]
     if not seq:
         raise ValueError("prompt must be nonempty")
@@ -363,9 +407,12 @@ def generate_greedy(model: Transformer, prompt, max_new: int) -> list[int]:
     if len(seq) > model.cfg.max_seq_len:
         raise ValueError(f"prompt length {len(seq)} exceeds max_seq_len {model.cfg.max_seq_len}")
     with tn.no_grad():
+        cache = KVCache(model)
+        new = seq
         for _ in range(max_new):
             if len(seq) >= model.cfg.max_seq_len:
                 break
-            logits = model.logits(seq)
+            logits = model.logits(new, cache=cache)
             seq.append(int(np.argmax(logits.data[-1])))
+            new = seq[-1:]
     return seq

@@ -32,6 +32,11 @@ FINITE_DIFF_STEP = 1e-3
 FINITE_DIFF_NOISE_MULTIPLE = 4096
 
 
+def grad_enabled() -> bool:
+    """Whether operations record a graph (False inside ``no_grad``)."""
+    return _GRAD_ENABLED
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference fast path)."""
@@ -416,9 +421,11 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
-    """[t, t] additive mask: 0 at or below the diagonal, large negative above."""
-    return np.triu(np.full((t, t), ATTENTION_MASK_VALUE, dtype=dtype), k=1)
+def causal_mask(t: int, dtype=np.float32, past: int = 0) -> np.ndarray:
+    """[t, past + t] additive mask for t queries at positions past ... past + t - 1
+    over keys 0 ... past + t - 1: 0 where query i may attend to key j
+    (j <= past + i), large negative above that offset diagonal."""
+    return np.triu(np.full((t, past + t), ATTENTION_MASK_VALUE, dtype=dtype), k=past + 1)
 
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -441,17 +448,25 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
     masked weights are exactly 0, so outputs are bit-identical under any
     change to later positions or other segments. The result is [N, d], heads
     side by side. Cost is per segment, not over the packed [N, N] square.
+
+    With a single segment, k and v may hold ``past`` more rows than q: they
+    are then the keys and values of positions 0 ... past + N - 1, q holds the
+    queries of the last N positions, and query row i attends to key rows
+    0 ... past + i. ``past`` = 0 is the square case above.
     """
-    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape or q.shape[1] % n_heads:
-        raise ValueError(f"causal_attention shape mismatch: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}, {n_heads} heads")
     bounds = np.asarray(bounds, dtype=np.intp)
+    past = k.shape[0] - q.shape[0]
+    if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]
+            or q.shape[1] % n_heads or past < 0 or (past and bounds.size != 2)):
+        raise ValueError(f"causal_attention shape mismatch: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, {n_heads} heads, {bounds.size - 1} segments")
     scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
     segments = []  # (lo, hi, q, k, v, weights) per segment, heads batched
     out = np.empty_like(q.data)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        qh, kh, vh = (_split_heads(x.data[lo:hi], n_heads) for x in (q, k, v))
-        scores = (qh @ kh.transpose(0, 2, 1)) * scale + causal_mask(hi - lo, q.data.dtype)
+        qh = _split_heads(q.data[lo:hi], n_heads)
+        kh, vh = (_split_heads(x.data[lo:hi + past], n_heads) for x in (k, v))
+        scores = (qh @ kh.transpose(0, 2, 1)) * scale + causal_mask(hi - lo, q.data.dtype, past)
         if not np.isfinite(scores).all():
             raise ValueError("softmax input contains non-finite values")
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -466,8 +481,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
             gw = gh @ vh.transpose(0, 2, 1)
             gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
             gq[lo:hi] = _merge_heads(gs @ kh)
-            gk[lo:hi] = _merge_heads(gs.transpose(0, 2, 1) @ qh)
-            gv[lo:hi] = _merge_heads(w.transpose(0, 2, 1) @ gh)
+            gk[lo:hi + past] = _merge_heads(gs.transpose(0, 2, 1) @ qh)
+            gv[lo:hi + past] = _merge_heads(w.transpose(0, 2, 1) @ gh)
         return gq, gk, gv
 
     return _make(out, (q, k, v), bw)

@@ -1,5 +1,7 @@
-"""Per-token reference routers: the oracles ``MoELayer.forward`` is checked
-against. The system itself routes whole batches as arrays and never calls these."""
+"""Reference paths the fast ones are checked against: per-token routers for
+``MoELayer.forward``, which routes whole batches as arrays, and uncached greedy
+decoding for ``generate_greedy``, which runs each new token against a
+key/value cache. The system itself never calls these."""
 
 from dataclasses import dataclass
 
@@ -95,3 +97,15 @@ def route_shared_normalized(s: np.ndarray, k: int, normalized: bool = True) -> R
         selected=[SHARED_EXPERT] + [int(i) + 1 for i in sel],
         gates=np.concatenate(([1.0 - s_max], normal_gates)),
     )
+
+
+def generate_uncached(model, prompt, max_new: int) -> list[int]:
+    """Greedy decoding that reruns ``model.logits`` on the whole prefix for
+    every new token; ties break toward the lower token id."""
+    seq = [int(t) for t in prompt]
+    with tn.no_grad():
+        for _ in range(max_new):
+            if len(seq) >= model.cfg.max_seq_len:
+                break
+            seq.append(int(np.argmax(model.logits(seq).data[-1])))
+    return seq

@@ -1,5 +1,6 @@
 """Transformer backbone: FFN, causal attention, loss, greedy decoding."""
 
+import contextlib
 import hashlib
 import math
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from xft import tensor as tn
+from oracles import generate_uncached
 from xft.model import (
     FFNWeights,
+    KVCache,
     ModelConfig,
     Transformer,
     attention_forward,
@@ -175,6 +178,29 @@ class TestFusedAttention:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             tn.causal_attention(q, k, v, self.BOUNDS, n_heads=2)
 
+    def test_key_offset_matches_last_rows_of_square(self):
+        q, k, v = self.qkv(np.float32)
+        square = tn.causal_attention(q, k, v, [0, 15], n_heads=2).data
+        for n in (1, 4, 15):
+            rows = tn.causal_attention(Tensor(q.data[-n:]), k, v, [0, n], n_heads=2).data
+            assert np.abs(rows - square[-n:]).max() <= 1e-6
+
+    def test_weights_above_offset_diagonal_are_zero(self):
+        past, n = 5, 3
+        rng = np.random.default_rng(3)
+        q = Tensor(rng.normal(size=(n, past + n)).astype(np.float32))
+        k = Tensor(rng.normal(size=(past + n, past + n)).astype(np.float32))
+        # one head with identity values: the output rows are the weights
+        w = tn.causal_attention(q, k, Tensor(np.eye(past + n, dtype=np.float32)), [0, n], 1).data
+        above = np.triu(np.ones((n, past + n), dtype=bool), k=past + 1)
+        assert (w[above] == 0.0).all() and (w[~above] > 0.0).all()
+        assert np.array_equal(tn.causal_mask(n, np.float32, past) != 0, above)
+
+    def test_key_offset_needs_one_segment(self):
+        q, k, v = self.qkv(np.float32)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tn.causal_attention(Tensor(q.data[-4:]), k, v, [0, 2, 4], n_heads=2)
+
 
 class _StubModel:
     """Fixed-logit stand-in for loss-formula tests."""
@@ -299,6 +325,80 @@ class TestGenerateGreedy:
         model = build_dense_model(cfg, seed=0)
         out = generate_greedy(model, [1, 2, 3], 10)
         assert len(out) == 5
+
+
+@pytest.fixture(scope="module")
+def decode_models() -> dict[str, Transformer]:
+    """A dense model, an upcycled MoE whose experts have drifted apart, and
+    that MoE merged back to dense."""
+    cfg = small_cfg(vocab_size=23, max_seq_len=24)
+    dense = build_dense_model(cfg, seed=5)
+    moe = upcycle_dense_to_moe(dense, MoEConfig(4, 3), seed=6)
+    rng = np.random.default_rng(7)
+    for block in moe.blocks:
+        for expert in block.slot.experts:
+            for t in expert.tensors().values():
+                t.data += rng.normal(0.0, 0.05, t.shape).astype(np.float32)
+    merged = merge_xft(moe, init_mixing_coefficients(4, cfg.n_layers, 0.75))
+    return {"dense": dense, "moe": moe, "merged": merged}
+
+
+class TestKVCache:
+    """Cached greedy decoding against the uncached reference path."""
+
+    @pytest.mark.parametrize("kind", ["dense", "moe", "merged"])
+    def test_tokens_match_uncached_decoding(self, decode_models, kind):
+        model = decode_models[kind]
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            prompt = rng.integers(0, model.cfg.vocab_size, size=rng.integers(1, 12)).tolist()
+            assert generate_greedy(model, prompt, 8) == generate_uncached(model, prompt, 8)
+        full = generate_greedy(model, [3], 100)
+        assert len(full) == model.cfg.max_seq_len
+        assert full == generate_uncached(model, [3], 100)
+
+    @pytest.mark.parametrize("kind", ["dense", "moe", "merged"])
+    def test_step_logits_match_full_prefix(self, decode_models, kind):
+        model = decode_models[kind]
+        seq = [4, 9, 1, 17]
+        cache = KVCache(model)
+        with tn.no_grad():
+            step = model.logits(seq, cache=cache).data
+            assert np.array_equal(step, model.logits(seq).data)
+            while len(seq) < model.cfg.max_seq_len:
+                seq.append(int(np.argmax(step[-1])))
+                step = model.logits(seq[-1:], cache=cache).data
+                # a 1-row and a T-row matmul may round differently
+                assert np.abs(step - model.logits(seq).data[-1:]).max() <= 1e-5
+        assert cache.length == model.cfg.max_seq_len
+
+    def test_moe_routes_only_new_rows(self, decode_models):
+        model = decode_models["moe"]
+        cache = KVCache(model)
+        with tn.no_grad():
+            model.hidden([4, 9, 1], cache=cache)
+            _, routing = model.hidden([17], cache=cache)
+        assert [r.selected.shape[0] for r in routing] == [1] * model.cfg.n_layers
+
+    @pytest.mark.parametrize("grad,tokens,bounds,match", [
+        (True, [5], None, "no_grad"),
+        (False, [5, 6], [0, 1, 2], "one segment"),
+        (False, [5] * 22, None, "max_seq_len"),  # 3 cached + 22 > 24
+    ], ids=["grad-enabled", "two-segments", "past-plus-n-over-max"])
+    def test_misuse_raises_and_keeps_cache(self, decode_models, grad, tokens, bounds, match):
+        model = decode_models["dense"]
+        prompt = [4, 9, 1]
+        cache = KVCache(model)
+        with tn.no_grad():
+            model.logits(prompt, cache=cache)
+        with contextlib.nullcontext() if grad else tn.no_grad():
+            with pytest.raises(ValueError, match=match):
+                model.logits(tokens, bounds, cache)
+        assert cache.length == len(prompt)
+        with tn.no_grad():
+            step = model.logits([5], cache=cache).data
+            full = model.logits(prompt + [5]).data[-1:]
+        assert np.abs(step - full).max() <= 1e-5
 
 
 class TestCopy:

@@ -163,6 +163,9 @@ OP_CASES = [
     ("causal_attention",
      lambda q, k, v: tn.causal_attention(q, k, v, [0, 2, 5, 6], n_heads=2),
      [(6, 4), (6, 4), (6, 4)]),
+    ("causal_attention.key_offset",
+     lambda q, k, v: tn.causal_attention(q, k, v, [0, 2], n_heads=2),
+     [(2, 4), (5, 4), (5, 4)]),
     ("softmax", tn.softmax, [(3, 6)]),
     ("log_softmax", tn.log_softmax, [(3, 6)]),
     ("gelu", tn.gelu, [(4, 4)]),
