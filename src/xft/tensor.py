@@ -24,6 +24,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 ATTENTION_MASK_VALUE = -1e9  # additive mask; exp underflows to exactly 0 in float32
+ATTENTION_TILE = 64  # query rows per causal-attention tile
 LAYER_NORM_EPS = 1e-5
 FINITE_DIFF_STEP = 1e-3
 # The finite-difference error denominator is at least this many times a float64
@@ -217,9 +218,11 @@ def add(a: Tensor, b) -> Tensor:
         return _make(a.data + b.data, (a, b), lambda g: (g, g))
     # bias add: 1-d vector against the last axis of the other operand
     if b.ndim == 1 and a.shape[-1] == b.shape[0]:
-        return _make(a.data + b.data, (a, b), lambda g: (g, _sum_to_last_axis(g)))
+        return _make(a.data + b.data, (a, b),
+                     lambda g: (g, _sum_to_last_axis(g) if b.requires_grad else None))
     if a.ndim == 1 and b.shape[-1] == a.shape[0]:
-        return _make(a.data + b.data, (a, b), lambda g: (_sum_to_last_axis(g), g))
+        return _make(a.data + b.data, (a, b),
+                     lambda g: (_sum_to_last_axis(g) if a.requires_grad else None, g))
     raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
@@ -259,8 +262,8 @@ def mul(a: Tensor, b) -> Tensor:
         s_scalar = s.data.reshape(())
 
         def bw_scalar(g, s=s, m=m, s_scalar=s_scalar):
-            gs = (g * m.data).sum().reshape(s.shape).astype(g.dtype)
-            gm = g * s_scalar
+            gs = (g * m.data).sum().reshape(s.shape).astype(g.dtype) if s.requires_grad else None
+            gm = g * s_scalar if m.requires_grad else None
             return (gs, gm) if s is a else (gm, gs)
 
         return _make(m.data * s_scalar, (a, b), bw_scalar)
@@ -269,8 +272,8 @@ def mul(a: Tensor, b) -> Tensor:
         col, m = (a, b) if a.shape[1] == 1 else (b, a)
 
         def bw_col(g, col=col, m=m):
-            gc = (g * m.data).sum(axis=1, keepdims=True)
-            gm = g * col.data
+            gc = (g * m.data).sum(axis=1, keepdims=True) if col.requires_grad else None
+            gm = g * col.data if m.requires_grad else None
             return (gc, gm) if col is a else (gm, gc)
 
         return _make(col.data * m.data, (a, b), bw_col)
@@ -421,11 +424,10 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def causal_mask(t: int, dtype=np.float32, past: int = 0) -> np.ndarray:
-    """[t, past + t] additive mask for t queries at positions past ... past + t - 1
-    over keys 0 ... past + t - 1: 0 where query i may attend to key j
-    (j <= past + i), large negative above that offset diagonal."""
-    return np.triu(np.full((t, past + t), ATTENTION_MASK_VALUE, dtype=dtype), k=past + 1)
+def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
+    """[t, t] additive mask: 0 where query i may attend to key j (j <= i),
+    large negative above the diagonal."""
+    return np.triu(np.full((t, t), ATTENTION_MASK_VALUE, dtype=dtype), k=1)
 
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -447,7 +449,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
     segment: per head, softmax(q k^T / sqrt(d_head) + causal_mask) v. The
     masked weights are exactly 0, so outputs are bit-identical under any
     change to later positions or other segments. The result is [N, d], heads
-    side by side. Cost is per segment, not over the packed [N, N] square.
+    side by side. Each segment runs in tiles of ``ATTENTION_TILE`` query rows:
+    a tile scores only the keys at or before its last row and masks only its
+    diagonal block, so cost is per tile and the masked half of a segment's
+    score square is never computed.
 
     With a single segment, k and v may hold ``past`` more rows than q: they
     are then the keys and values of positions 0 ... past + N - 1, q holds the
@@ -461,28 +466,44 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
         raise ValueError(f"causal_attention shape mismatch: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}, {n_heads} heads, {bounds.size - 1} segments")
     scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
-    segments = []  # (lo, hi, q, k, v, weights) per segment, heads batched
+    segments = []  # (lo, hi, q, k, v, [(r0, r1, weights) per tile]) per segment, heads batched
     out = np.empty_like(q.data)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         qh = _split_heads(q.data[lo:hi], n_heads)
         kh, vh = (_split_heads(x.data[lo:hi + past], n_heads) for x in (k, v))
-        scores = (qh @ kh.transpose(0, 2, 1)) * scale + causal_mask(hi - lo, q.data.dtype, past)
-        if not np.isfinite(scores).all():
-            raise ValueError("softmax input contains non-finite values")
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w = e / e.sum(axis=-1, keepdims=True)
-        out[lo:hi] = _merge_heads(w @ vh)
-        segments.append((lo, hi, qh, kh, vh, w))
+        tiles = []
+        for r0 in range(0, hi - lo, ATTENTION_TILE):
+            r1 = min(r0 + ATTENTION_TILE, hi - lo)
+            w = qh[:, r0:r1] @ kh[:, :past + r1].transpose(0, 2, 1)
+            w *= scale
+            w[:, :, past + r0:] += causal_mask(r1 - r0, q.data.dtype)
+            if not np.isfinite(w).all():
+                raise ValueError("softmax input contains non-finite values")
+            w -= w.max(axis=-1, keepdims=True)
+            np.exp(w, out=w)
+            w /= w.sum(axis=-1, keepdims=True)
+            out[lo + r0:lo + r1] = _merge_heads(w @ vh[:, :past + r1])
+            tiles.append((r0, r1, w))
+        segments.append((lo, hi, qh, kh, vh, tiles))
 
     def bw(g):
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for lo, hi, qh, kh, vh, w in segments:
+        for lo, hi, qh, kh, vh, tiles in segments:
             gh = _split_heads(g[lo:hi], n_heads)
-            gw = gh @ vh.transpose(0, 2, 1)
-            gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
-            gq[lo:hi] = _merge_heads(gs @ kh)
-            gk[lo:hi + past] = _merge_heads(gs.transpose(0, 2, 1) @ qh)
-            gv[lo:hi + past] = _merge_heads(w.transpose(0, 2, 1) @ gh)
+            for r0, r1, w in reversed(tiles):  # the last tile sees every key: it starts the sums
+                keys = past + r1
+                gw = gh[:, r0:r1] @ vh[:, :keys].transpose(0, 2, 1)
+                gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
+                gq[lo + r0:lo + r1] = _merge_heads(gs @ kh[:, :keys])
+                dk = gs.transpose(0, 2, 1) @ qh[:, r0:r1]
+                dv = w.transpose(0, 2, 1) @ gh[:, r0:r1]
+                if r1 == hi - lo:
+                    gkh, gvh = dk, dv
+                else:
+                    gkh[:, :keys] += dk
+                    gvh[:, :keys] += dv
+            gk[lo:hi + past] = _merge_heads(gkh)
+            gv[lo:hi + past] = _merge_heads(gvh)
         return gq, gk, gv
 
     return _make(out, (q, k, v), bw)

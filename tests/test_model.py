@@ -104,6 +104,19 @@ class TestAttention:
                 changed = model.logits(perturbed).data
             assert np.array_equal(base[: t + 1], changed[: t + 1]), f"prefix differs at t={t}"
 
+    def test_causality_across_tiles(self):
+        cfg = small_cfg(max_seq_len=150)
+        model = build_dense_model(cfg, seed=7)
+        tokens = np.random.default_rng(10).integers(0, cfg.vocab_size, size=150).tolist()
+        with tn.no_grad():
+            base = model.logits(tokens).data.copy()
+            for t in (tn.ATTENTION_TILE + 1, 100, 149):
+                perturbed = list(tokens)
+                perturbed[t] = (perturbed[t] + 3) % cfg.vocab_size
+                changed = model.logits(perturbed).data
+                assert np.array_equal(base[:t], changed[:t]), f"prefix differs at t={t}"
+                assert not np.array_equal(base[t], changed[t])
+
     def test_uniform_values_make_output_score_independent(self):
         cfg = small_cfg()
         model = build_dense_model(cfg, seed=11)
@@ -148,29 +161,43 @@ def composed_attention(q, k, v, bounds, n_heads):
 
 class TestFusedAttention:
     BOUNDS = [0, 5, 7, 15]
+    # segments of several tiles, one of exactly one tile and one of a single row
+    TILED_BOUNDS = [0, 150, 214, 215, 345]
 
-    def qkv(self, dtype, seed=0):
+    def qkv(self, dtype, seed=0, n=15):
         rng = np.random.default_rng(seed)
-        return [Tensor(rng.normal(size=(15, 8)).astype(dtype), requires_grad=True)
+        return [Tensor(rng.normal(size=(n, 8)).astype(dtype), requires_grad=True)
                 for _ in range(3)]
 
-    def test_forward_matches_composed_ops(self):
-        q, k, v = self.qkv(np.float32)
-        fused = tn.causal_attention(q, k, v, self.BOUNDS, n_heads=2).data
-        ref = composed_attention(q, k, v, self.BOUNDS, n_heads=2).data
+    def check_forward(self, bounds):
+        q, k, v = self.qkv(np.float32, n=bounds[-1])
+        fused = tn.causal_attention(q, k, v, bounds, n_heads=2).data
+        ref = composed_attention(q, k, v, bounds, n_heads=2).data
         assert np.allclose(fused, ref, atol=1e-6)
 
-    def test_gradients_match_composed_ops(self):
-        q, k, v = self.qkv(np.float64, seed=1)
-        readout = Tensor(np.random.default_rng(2).normal(size=(15, 8)))
+    def check_gradients(self, bounds):
+        q, k, v = self.qkv(np.float64, seed=1, n=bounds[-1])
+        readout = Tensor(np.random.default_rng(2).normal(size=(bounds[-1], 8)))
         grads = []
         for attend in (tn.causal_attention, composed_attention):
             for p in (q, k, v):
                 p.grad = None
-            tn.backward((attend(q, k, v, self.BOUNDS, 2) * readout).sum())
+            tn.backward((attend(q, k, v, bounds, 2) * readout).sum())
             grads.append([p.grad.copy() for p in (q, k, v)])
         for fused, ref in zip(*grads):
             assert np.allclose(fused, ref, rtol=1e-10, atol=1e-12)
+
+    def test_forward_matches_composed_ops(self):
+        self.check_forward(self.BOUNDS)
+
+    def test_gradients_match_composed_ops(self):
+        self.check_gradients(self.BOUNDS)
+
+    def test_forward_matches_composed_ops_across_tiles(self):
+        self.check_forward(self.TILED_BOUNDS)
+
+    def test_gradients_match_composed_ops_across_tiles(self):
+        self.check_gradients(self.TILED_BOUNDS)
 
     def test_non_finite_scores_rejected(self):
         q, k, v = self.qkv(np.float32)
@@ -178,23 +205,48 @@ class TestFusedAttention:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             tn.causal_attention(q, k, v, self.BOUNDS, n_heads=2)
 
-    def test_key_offset_matches_last_rows_of_square(self):
-        q, k, v = self.qkv(np.float32)
-        square = tn.causal_attention(q, k, v, [0, 15], n_heads=2).data
-        for n in (1, 4, 15):
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_non_finite_scores_rejected_in_last_tile(self, operand):
+        qkv = self.qkv(np.float32, n=150)
+        qkv[operand].data[140, 0] = np.inf  # a query row, then a key row, of the last tile
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            tn.causal_attention(*qkv, [0, 150], n_heads=2)
+
+    def check_key_offset(self, total, query_counts):
+        """The last n queries over all keys give the last n rows of the square."""
+        q, k, v = self.qkv(np.float32, n=total)
+        square = tn.causal_attention(q, k, v, [0, total], n_heads=2).data
+        for n in query_counts:
             rows = tn.causal_attention(Tensor(q.data[-n:]), k, v, [0, n], n_heads=2).data
             assert np.abs(rows - square[-n:]).max() <= 1e-6
 
-    def test_weights_above_offset_diagonal_are_zero(self):
-        past, n = 5, 3
+    def test_key_offset_matches_last_rows_of_square(self):
+        self.check_key_offset(15, (1, 4, 15))
+
+    def test_key_offset_across_tiles_matches_last_rows_of_square(self):
+        self.check_key_offset(150, (1, tn.ATTENTION_TILE + 6, 150))
+
+    @staticmethod
+    def offset_weights(past, n):
+        """Attention weights of n queries over past + n keys, and the mask
+        of the weights above the offset diagonal."""
         rng = np.random.default_rng(3)
         q = Tensor(rng.normal(size=(n, past + n)).astype(np.float32))
         k = Tensor(rng.normal(size=(past + n, past + n)).astype(np.float32))
         # one head with identity values: the output rows are the weights
         w = tn.causal_attention(q, k, Tensor(np.eye(past + n, dtype=np.float32)), [0, n], 1).data
-        above = np.triu(np.ones((n, past + n), dtype=bool), k=past + 1)
+        return w, np.triu(np.ones((n, past + n), dtype=bool), k=past + 1)
+
+    def test_weights_above_offset_diagonal_are_zero(self):
+        n = 3
+        w, above = self.offset_weights(5, n)
         assert (w[above] == 0.0).all() and (w[~above] > 0.0).all()
-        assert np.array_equal(tn.causal_mask(n, np.float32, past) != 0, above)
+        assert np.array_equal(tn.causal_mask(n) != 0, above[:, -n:])
+
+    def test_weights_above_offset_diagonal_are_zero_across_tiles(self):
+        # 80 queries over 150 keys: two query tiles, three tiles' worth of keys
+        w, above = self.offset_weights(70, 80)
+        assert (w[above] == 0.0).all() and (w[~above] > 0.0).all()
 
     def test_key_offset_needs_one_segment(self):
         q, k, v = self.qkv(np.float32)

@@ -10,6 +10,9 @@ from xft.moe import MoEConfig, upcycle_dense_to_moe
 
 CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=12)
 LENGTHS = (7, 2, 12, 5)  # unequal, one of length 2, one at max_seq_len
+LONG_CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=150)
+# sequences of several attention tiles, one at max_seq_len, and a short one
+LONG_LENGTHS = (2 * tn.ATTENTION_TILE + 1, 3, 150)
 
 
 def random_batch(lengths, seed: int):
@@ -24,9 +27,9 @@ def random_batch(lengths, seed: int):
     return batch
 
 
-def distinct_moe(seed: int, n: int = 4, k: int = 3):
+def distinct_moe(seed: int, n: int = 4, k: int = 3, cfg: ModelConfig = CFG):
     """Upcycled MoE whose experts differ and whose router is far from uniform."""
-    moe = upcycle_dense_to_moe(build_dense_model(CFG, seed=seed), MoEConfig(n, k), seed=seed + 1)
+    moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=seed), MoEConfig(n, k), seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     for block in moe.blocks:
         block.slot.centroids.data *= 50.0
@@ -44,15 +47,19 @@ def moe_trainable():
     return distinct_moe(seed=4)
 
 
-def merged_trainable():
-    coeffs = init_mixing_coefficients(4, CFG.n_layers, lam=0.6)
+def merged_trainable(cfg: ModelConfig = CFG, dtype=np.float32):
+    coeffs = init_mixing_coefficients(4, cfg.n_layers, lam=0.6, dtype=dtype)
     rng = np.random.default_rng(5)
     for t in coeffs.logits:
-        t.data += rng.normal(scale=0.3, size=t.shape).astype(np.float32)
-    return _MergedTrainable(distinct_moe(seed=6), coeffs)
+        t.data += rng.normal(scale=0.3, size=t.shape).astype(dtype)
+    return _MergedTrainable(distinct_moe(seed=6, cfg=cfg).copy(dtype=dtype), coeffs)
 
 
 TRAINABLES = {"dense": dense_trainable, "moe": moe_trainable, "merged": merged_trainable}
+# float64: the key-bias gradient is 0 in exact arithmetic (softmax ignores a
+# per-row shift), and its float32 rounding noise grows with the segment length
+LONG_TRAINABLES = {"dense": lambda: build_dense_model(LONG_CFG, seed=3).copy(dtype=np.float64),
+                   "merged": lambda: merged_trainable(LONG_CFG, np.float64)}
 
 
 def loss_and_grads(trainable, batches, scale: float):
@@ -68,18 +75,26 @@ def loss_and_grads(trainable, batches, scale: float):
     return total, {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
 
 
+def assert_packed_matches_per_example(trainable, batch):
+    """One packed step and the per-example steps give the same loss and grads."""
+    packed_loss, packed_grads = loss_and_grads(trainable, [batch], 1.0)
+    ref_loss, ref_grads = loss_and_grads(trainable, [[ex] for ex in batch], 1.0 / len(batch))
+    assert packed_loss == pytest.approx(ref_loss, rel=1e-5)
+    assert sorted(packed_grads) == sorted(ref_grads)
+    for name, g in ref_grads.items():
+        scale = float(np.abs(g).max()) + 1e-6
+        assert np.abs(packed_grads[name] - g).max() <= 1e-4 * scale, name
+
+
 class TestPackedMatchesPerExample:
     @pytest.mark.parametrize("kind", sorted(TRAINABLES))
     def test_loss_and_gradients(self, kind):
-        trainable = TRAINABLES[kind]()
-        batch = random_batch(LENGTHS, seed=7)
-        packed_loss, packed_grads = loss_and_grads(trainable, [batch], 1.0)
-        ref_loss, ref_grads = loss_and_grads(trainable, [[ex] for ex in batch], 1.0 / len(batch))
-        assert packed_loss == pytest.approx(ref_loss, rel=1e-5)
-        assert sorted(packed_grads) == sorted(ref_grads)
-        for name, g in ref_grads.items():
-            scale = float(np.abs(g).max()) + 1e-6
-            assert np.abs(packed_grads[name] - g).max() <= 1e-4 * scale, name
+        assert_packed_matches_per_example(TRAINABLES[kind](), random_batch(LENGTHS, seed=7))
+
+    @pytest.mark.parametrize("kind", sorted(LONG_TRAINABLES))
+    def test_loss_and_gradients_across_tiles(self, kind):
+        batch = random_batch(LONG_LENGTHS, seed=13)
+        assert_packed_matches_per_example(LONG_TRAINABLES[kind](), batch)
 
     @pytest.mark.parametrize("kind", ["dense", "moe"])
     def test_segment_logits_match_single_runs(self, kind):

@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, backward rules, finite-difference oracle."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,9 @@ OP_CASES = [
     ("causal_attention.key_offset",
      lambda q, k, v: tn.causal_attention(q, k, v, [0, 2], n_heads=2),
      [(2, 4), (5, 4), (5, 4)]),
+    ("causal_attention.tiles",
+     lambda q, k, v: tn.causal_attention(q, k, v, [0, tn.ATTENTION_TILE + 6], n_heads=2),
+     [(tn.ATTENTION_TILE + 6, 4)] * 3),
     ("softmax", tn.softmax, [(3, 6)]),
     ("log_softmax", tn.log_softmax, [(3, 6)]),
     ("gelu", tn.gelu, [(4, 4)]),
@@ -179,7 +184,7 @@ class TestGradientsAllOps:
 
     @pytest.mark.parametrize("name,op,shapes", OP_CASES, ids=[c[0] for c in OP_CASES])
     def test_random_trials(self, name, op, shapes):
-        rng = np.random.default_rng(abs(hash(name)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hash() is salted per process
         for _ in range(5):
             params = [tn.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
             out_shape = op(*params).shape
@@ -187,6 +192,34 @@ class TestGradientsAllOps:
             f = lambda: (op(*params) * readout).sum()
             err = tn.finite_diff_check(f, params)
             assert err < FD_TOL, f"{name}: fd error {err}"
+
+
+# (name, op, shapes, frozen operand): broadcasting ops whose backward rule
+# reduces or scales the incoming gradient for that operand
+FROZEN_CASES = [
+    ("add.bias", lambda a, b: a + b, [(4, 3), (3,)], 1),
+    ("add.bias_first", lambda a, b: a + b, [(3,), (4, 3)], 0),
+    ("mul.scalar_tensor", lambda a, b: a * b, [(1, 1), (4, 3)], 0),
+    ("mul.scalar_tensor.frozen_tensor", lambda a, b: a * b, [(1, 1), (4, 3)], 1),
+    ("mul.tensor_scalar", lambda a, b: a * b, [(4, 3), (1,)], 1),
+    ("mul.column", lambda a, b: a * b, [(5, 1), (5, 4)], 0),
+    ("mul.column.frozen_matrix", lambda a, b: a * b, [(5, 1), (5, 4)], 1),
+]
+
+
+class TestFrozenOperands:
+    """A backward rule computes no gradient for an operand that needs none."""
+
+    @pytest.mark.parametrize("name,op,shapes,frozen", FROZEN_CASES,
+                             ids=[c[0] for c in FROZEN_CASES])
+    def test_frozen_operand_gets_no_gradient(self, name, op, shapes, frozen):
+        rng = np.random.default_rng(0)
+        operands = [tn.Tensor(rng.normal(size=s), requires_grad=i != frozen)
+                    for i, s in enumerate(shapes)]
+        out = op(*operands)
+        grads = out._backward_fn(np.ones_like(out.data))
+        assert grads[frozen] is None
+        assert grads[1 - frozen].shape == shapes[1 - frozen]
 
 
 class TestNoGrad:
