@@ -1,4 +1,5 @@
-"""Pipeline command line: init, fine-tune, upcycle, merge, inspect, verify.
+"""Pipeline command line: init, train-sft, upcycle, train-moe, learn-merge,
+merge, eval-loss, generate, route-stats, verify.
 
 Exit codes: 0 success, 1 usage, 2 I/O, parse or invalid input,
 3 verification failure. A command's ``--seed`` defaults to the XFT_SEED

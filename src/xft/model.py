@@ -102,8 +102,9 @@ class Block:
 
 
 def ffn_forward(u: Tensor, w: FFNWeights, activation: Callable[[Tensor], Tensor] = tn.gelu) -> Tensor:
-    """down(act(up(u))) with biases; the caller adds any residual."""
-    return activation(u @ w.w_up + w.b_up) @ w.w_down + w.b_down
+    """down(act(up(u))) with biases, one ``tn.ffn`` node; the caller adds any
+    residual. ``activation`` is a single tensor op (see ``tn.ffn``)."""
+    return tn.ffn(u, w.w_up, w.b_up, w.w_down, w.b_down, activation)
 
 
 def _segment_bounds(bounds, n: int) -> np.ndarray:
@@ -143,15 +144,15 @@ def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
     if longest > cfg.max_seq_len:
         raise ValueError(f"sequence length {longest} exceeds max_seq_len {cfg.max_seq_len}")
     x = tn.layer_norm(u, block.ln1.gain, block.ln1.bias)
-    q = x @ block.attn.wq + block.attn.bq
-    k = x @ block.attn.wk + block.attn.bk
-    v = x @ block.attn.wv + block.attn.bv
+    q = tn.linear(x, block.attn.wq, block.attn.bq)
+    k = tn.linear(x, block.attn.wk, block.attn.bk)
+    v = tn.linear(x, block.attn.wv, block.attn.bv)
     if cache is not None:
         keys, values = cache
         keys[past:], values[past:] = k.data, v.data
         k, v = Tensor(keys), Tensor(values)
     heads = tn.causal_attention(q, k, v, bounds, cfg.n_heads)
-    return u + (heads @ block.attn.wo + block.attn.bo)
+    return u + tn.linear(heads, block.attn.wo, block.attn.bo)
 
 
 class KVCache:

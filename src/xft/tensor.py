@@ -8,6 +8,11 @@ reverse topological order and accumulates gradients into the leaves.
 Broadcasting is deliberately limited to the cases the transformer needs:
 bias addition (1-d vector against the last axis), scalar scaling, and
 per-row column scaling. Anything else raises.
+
+Dense layers are fused nodes: ``linear`` is x @ w + b and ``ffn`` is
+activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
+rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
+op of its input (``gelu``, ``identity``): the node replays that op's backward.
 """
 
 from __future__ import annotations
@@ -294,6 +299,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), bw)
 
 
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b, the bias added in place to the fresh product."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ValueError(f"affine shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    y = x @ w.data
+    y += b.data
+    return y
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, need_x: bool, w: Tensor, b: Tensor):
+    """Gradients of x @ w + b for x, w and b; None for an operand that needs none."""
+    gx = g @ w.data.T if need_x else None
+    gw = x.T @ g if w.requires_grad else None
+    gb = _sum_to_last_axis(g) if b.requires_grad else None
+    return gx, gw, gb
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: a matrix [N, n], weights [n, m], a bias [m]."""
+    return _make(_affine(x.data, w, b), (x, w, b),
+                 lambda g: _affine_grads(g, x.data, x.requires_grad, w, b))
+
+
+def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
+        activation: Callable[[Tensor], Tensor]) -> Tensor:
+    """activation(u @ w_up + b_up) @ w_down + b_down as one node.
+
+    ``activation`` must be a single tensor op of its input, such as ``gelu``:
+    the node replays that op's recorded backward rule, and anything else
+    raises ``ValueError``. The op is recorded even under ``no_grad``, so the
+    check holds there too; the node itself is not.
+    """
+    global _GRAD_ENABLED
+    pre = Tensor(_affine(u.data, w_up, b_up), requires_grad=True)
+    recording, _GRAD_ENABLED = _GRAD_ENABLED, True
+    try:
+        act = activation(pre)
+    finally:
+        _GRAD_ENABLED = recording
+    if len(act._parents) != 1 or act._parents[0] is not pre:
+        raise ValueError("ffn activation must be a single tensor op of its input")
+    need_up = u.requires_grad or w_up.requires_grad or b_up.requires_grad
+
+    def bw(g):
+        ga, gw_down, gb_down = _affine_grads(g, act.data, need_up, w_down, b_down)
+        if ga is None:
+            return None, None, None, gw_down, gb_down
+        gu, gw_up, gb_up = _affine_grads(act._backward_fn(ga)[0], u.data, u.requires_grad, w_up, b_up)
+        return gu, gw_up, gb_up, gw_down, gb_down
+
+    return _make(_affine(act.data, w_down, b_down), (u, w_up, b_up, w_down, b_down), bw)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"transpose expects a matrix, got shape {a.shape}")
@@ -522,16 +580,34 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
-    # Products, not powers: numpy's float32 power path is ~100x slower.
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
+    # Products, not powers: numpy's float32 power path is ~100x slower. The
+    # in-place steps round exactly as the expression above, term by term.
     x = a.data
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    y = 0.5 * x * (1.0 + t)
+    t = x * _GELU_A
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x * 0.5
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * dy,)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), rounded term by term as above
+        term = x * (3.0 * _GELU_A)
+        term *= x
+        term += 1.0
+        term *= _GELU_C
+        dy = t * t
+        np.subtract(1.0, dy, out=dy)
+        dy *= x * 0.5
+        dy *= term
+        np.add(t, 1.0, out=term)
+        term *= 0.5
+        dy += term
+        dy *= g
+        return (dy,)
 
     return _make(y, (a,), bw)
 

@@ -1,8 +1,11 @@
 """Reference paths the fast ones are checked against: per-token routers for
-``MoELayer.forward``, which routes whole batches as arrays, and uncached greedy
+``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
-key/value cache. The system itself never calls these."""
+key/value cache, the composed expressions that ``tn.linear`` and ``tn.ffn``
+compute as one node each, and GELU as whole-array expressions, which
+``tn.gelu`` evaluates in place. The system itself never calls these."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,3 +112,22 @@ def generate_uncached(model, prompt, max_new: int) -> list[int]:
                 break
             seq.append(int(np.argmax(model.logits(seq).data[-1])))
     return seq
+
+
+def linear_composed(x, w, b):
+    """``tn.linear`` as two nodes: matmul, then bias add."""
+    return x @ w + b
+
+
+def ffn_composed(u, w_up, b_up, w_down, b_down, activation):
+    """``tn.ffn`` as five nodes: matmul, bias add, activation, matmul, bias add."""
+    return activation(u @ w_up + b_up) @ w_down + b_down
+
+
+def gelu_expressions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximation GELU and its derivative at x, one expression each."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    y = 0.5 * x * (1.0 + t)
+    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3.0 * a * x * x))
+    return y, dy

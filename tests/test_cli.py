@@ -63,6 +63,14 @@ class TestUsage:
         for line in lines:
             parser.parse_args(shlex.split(line, comments=True)[1:])
 
+    def test_help_description_names_the_subcommands(self):
+        """``xft --help`` opens with the module docstring's command list."""
+        listed = re.match(r"Pipeline command line: (.*?)\.\n", cli.__doc__, flags=re.S)
+        names = [n.strip() for n in listed.group(1).split(",")]
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert sorted(names) == sorted(subparsers.choices)
+
     def test_every_declared_flag_is_read(self):
         """Each subcommand's handler, or a module function it hands ``args``
         to, reads every dest its parser declares."""

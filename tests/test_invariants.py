@@ -27,8 +27,10 @@ def test_zero_gradient_elements_pass(seed):
 
 
 def skewed_gelu(a: Tensor) -> Tensor:
-    """GELU whose backward is 1% too large; the forward is unchanged."""
-    return tn.gelu(a) * 1.01 - Tensor(tn.gelu(a).data) * 0.01
+    """GELU whose backward is 1% too large; the forward is unchanged. One op of
+    its input, as ``tn.ffn`` requires of an activation."""
+    y = tn.gelu(a)
+    return tn._make(y.data, (a,), lambda g: (y._backward_fn(g)[0] * 1.01,))
 
 
 @pytest.mark.parametrize("seed", [0, 17, 29])
