@@ -121,20 +121,8 @@ class MoELayer:
             normal_gates = picked  # raw affinities: gate sum is not constrained
 
         h = u + ffn_forward(u, self.experts[SHARED_EXPERT]) * shared_gate
-
-        # Dropless grouped dispatch: sort the T*(K-1) (token, slot) pairs by
-        # expert, run each expert once on its contiguous block of rows, and
-        # sum each token's gated outputs back in place.
-        slots = sel.reshape(-1)
-        order = np.argsort(slots, kind="stable")
-        counts = np.bincount(slots, minlength=self.cfg.n_experts - 1)
-        ends = np.cumsum(counts)
-        rows = tn.dispatch_rows(u, order, r)
-        gates = tn.dispatch_rows(normal_gates.reshape((t * r, 1)), order, 1)
-        outputs = [ffn_forward(tn.slice_rows(rows, lo, hi), self.experts[e + 1])
-                   for e, (lo, hi) in enumerate(zip(ends - counts, ends))
-                   if hi > lo]
-        h = h + tn.combine_rows(tn.concat_rows(outputs) * gates, order, r)
+        normal = [tuple(expert.tensors().values()) for expert in self.experts[1:]]
+        h = h + tn.expert_ffn(u, normal_gates, sel, normal)
 
         record = RoutingRecord(
             selected=np.concatenate((np.full((t, 1), SHARED_EXPERT), sel + 1), axis=1),

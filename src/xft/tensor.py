@@ -13,6 +13,7 @@ Dense layers are fused nodes: ``linear`` is x @ w + b and ``ffn`` is
 activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
 rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
 op of its input (``gelu``, ``identity``): the node replays that op's backward.
+``expert_ffn`` is an MoE layer's routed experts, gating and combine as one node.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ ATTENTION_MASK_VALUE = -1e9  # additive mask; exp underflows to exactly 0 in flo
 ATTENTION_TILE = 64  # query rows per causal-attention tile
 LAYER_NORM_EPS = 1e-5
 FINITE_DIFF_STEP = 1e-3
-# The finite-difference error denominator is at least this many times a float64
-# central difference's rounding noise, eps * max(|f+|, |f-|) / h, so an element
+# The finite-difference error denominator is at least this many times the float64
+# rounding noise of the extrapolated difference, 3 eps max|f| / h, so an element
 # whose true gradient is 0 does not read that noise as an error of order 1.
 FINITE_DIFF_NOISE_MULTIPLE = 4096
 
@@ -322,17 +323,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  lambda g: _affine_grads(g, x.data, x.requires_grad, w, b))
 
 
-def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
-        activation: Callable[[Tensor], Tensor]) -> Tensor:
-    """activation(u @ w_up + b_up) @ w_down + b_down as one node.
-
-    ``activation`` must be a single tensor op of its input, such as ``gelu``:
-    the node replays that op's recorded backward rule, and anything else
-    raises ``ValueError``. The op is recorded even under ``no_grad``, so the
-    check holds there too; the node itself is not.
-    """
+def _ffn(x: np.ndarray, need_x: bool, w_up: Tensor, b_up: Tensor, w_down: Tensor,
+         b_down: Tensor, activation: Callable[[Tensor], Tensor]):
+    """activation(x @ w_up + b_up) @ w_down + b_down for an array x, and its
+    backward rule g -> (gx, gw_up, gb_up, gw_down, gb_down), None for an operand
+    that needs no gradient (x when ``need_x`` is False). The rule replays the
+    activation's recorded backward, so the activation must be a single tensor
+    op of its input; it is recorded even under ``no_grad``, so that holds there."""
     global _GRAD_ENABLED
-    pre = Tensor(_affine(u.data, w_up, b_up), requires_grad=True)
+    pre = Tensor(_affine(x, w_up, b_up), requires_grad=True)
     recording, _GRAD_ENABLED = _GRAD_ENABLED, True
     try:
         act = activation(pre)
@@ -340,16 +339,72 @@ def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
         _GRAD_ENABLED = recording
     if len(act._parents) != 1 or act._parents[0] is not pre:
         raise ValueError("ffn activation must be a single tensor op of its input")
-    need_up = u.requires_grad or w_up.requires_grad or b_up.requires_grad
+    need_up = need_x or w_up.requires_grad or b_up.requires_grad
 
     def bw(g):
         ga, gw_down, gb_down = _affine_grads(g, act.data, need_up, w_down, b_down)
         if ga is None:
             return None, None, None, gw_down, gb_down
-        gu, gw_up, gb_up = _affine_grads(act._backward_fn(ga)[0], u.data, u.requires_grad, w_up, b_up)
-        return gu, gw_up, gb_up, gw_down, gb_down
+        return (*_affine_grads(act._backward_fn(ga)[0], x, need_x, w_up, b_up), gw_down, gb_down)
 
-    return _make(_affine(act.data, w_down, b_down), (u, w_up, b_up, w_down, b_down), bw)
+    return _affine(act.data, w_down, b_down), bw
+
+
+def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
+        activation: Callable[[Tensor], Tensor]) -> Tensor:
+    """activation(u @ w_up + b_up) @ w_down + b_down as one node; ``activation``
+    is a single tensor op of its input, such as ``gelu``."""
+    out, bw = _ffn(u.data, u.requires_grad, w_up, b_up, w_down, b_down, activation)
+    return _make(out, (u, w_up, b_up, w_down, b_down), bw)
+
+
+def expert_ffn(u: Tensor, gates: Tensor, sel, experts: Sequence[Sequence[Tensor]]) -> Tensor:
+    """out[t] = sum over j of gates[t, j] * FFN_{sel[t, j]}(u[t]) as one node.
+
+    ``experts`` holds each expert's (w_up, b_up, w_down, b_down); the FFN is
+    ``ffn`` with ``gelu``, looked up when called. The [T, k] (token, slot) pairs
+    are stably sorted by expert, each expert runs once on its contiguous block
+    of rows, and each token's gated outputs are summed back in place. An expert
+    that receives no rows gets no gradient."""
+    sel = np.asarray(sel, dtype=np.intp)
+    if u.ndim != 2 or sel.ndim != 2 or gates.shape != sel.shape or sel.shape[0] != u.shape[0]:
+        raise ValueError(f"expert_ffn shape mismatch: u {u.shape}, gates {gates.shape}, sel {sel.shape}")
+    if sel.size and (sel.min() < 0 or sel.max() >= len(experts)):
+        raise ValueError(f"expert_ffn index outside the {len(experts)} experts")
+    k = sel.shape[1]
+    order = np.argsort(sel, axis=None, kind="stable")
+    counts = np.bincount(sel.reshape(-1), minlength=len(experts))
+    ends = np.cumsum(counts)
+    parents = (u, gates, *(w for expert in experts for w in expert))
+    recording = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    rows = u.data[order // k]
+    blocks, outs = [], []  # (expert, lo, hi, backward rule) per non-empty block, if recording
+    for e, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        if hi > lo:
+            y, block_bw = _ffn(rows[lo:hi], u.requires_grad, *experts[e], gelu)
+            outs.append(y)
+            if recording:
+                blocks.append((e, lo, hi, block_bw))
+    outs = np.concatenate(outs, axis=0)
+    gate_rows = gates.data.reshape(-1, 1)[order]
+    if not recording:  # nothing reads the unscaled outputs: scale in place
+        outs *= gate_rows
+        return Tensor(_slot_sum(outs, order, k))
+
+    def bw(g):
+        gs = g[order // k]
+        gg = (_slot_sum((gs * outs).sum(axis=1, keepdims=True), order, 1).reshape(sel.shape)
+              if gates.requires_grad else None)
+        gs *= gate_rows
+        grows, expert_grads = np.empty_like(rows), [(None,) * 4] * len(experts)
+        for e, lo, hi, block_bw in blocks:
+            gx, *expert_grads[e] = block_bw(gs[lo:hi])
+            if u.requires_grad:
+                grows[lo:hi] = gx
+        gu = _slot_sum(grows, order, k) if u.requires_grad else None
+        return (gu, gg, *(gw for grads in expert_grads for gw in grads))
+
+    return _make(_slot_sum(gate_rows * outs, order, k), parents, bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -409,63 +464,12 @@ def take_along_rows(a: Tensor, indices) -> Tensor:
     return _make(np.take_along_axis(a.data, idx, axis=1), (a,), bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of a matrix."""
-    if a.ndim != 2:
-        raise ValueError(f"slice_rows expects a matrix, got shape {a.shape}")
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        return (ga,)
-
-    return _make(a.data[start:stop], (a,), bw)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = tuple(parts)
-    if not parts or any(p.ndim != 2 for p in parts):
-        raise ValueError("concat_rows expects a nonempty sequence of matrices")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def bw(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _make(np.concatenate([p.data for p in parts], axis=0), parts, bw)
-
-
 def _slot_sum(slots: np.ndarray, order: np.ndarray, group: int) -> np.ndarray:
     """Undo the permutation ``order`` of slot rows, then sum each row's
     ``group`` consecutive slots: [R * group, d] -> [R, d]."""
     unsorted = np.empty_like(slots)
     unsorted[order] = slots
     return unsorted.reshape(-1, group, slots.shape[1]).sum(axis=1)
-
-
-def _check_slots(a: Tensor, order: np.ndarray, n_slots: int, op: str) -> None:
-    if a.ndim != 2 or order.shape != (n_slots,):
-        raise ValueError(f"{op} shape mismatch: {a.shape} with order {order.shape}")
-
-
-def dispatch_rows(a: Tensor, order, group: int) -> Tensor:
-    """out[i] = a[order[i] // group] for a permutation ``order`` of the
-    a.shape[0] * group slots, slot j of row r being r * group + j.
-
-    Each row is copied into its ``group`` slots and the slots are reordered,
-    so rows headed for the same expert become contiguous. The backward pass
-    is ``combine_rows``: an inverse permutation and a sum, no scatter-add.
-    """
-    order = np.asarray(order, dtype=np.intp)
-    _check_slots(a, order, a.shape[0] * group, "dispatch_rows")
-    return _make(a.data[order // group], (a,), lambda g: (_slot_sum(g, order, group),))
-
-
-def combine_rows(a: Tensor, order, group: int) -> Tensor:
-    """Adjoint of ``dispatch_rows``: out[r] = sum over j of the slot row that
-    ``order`` moved r * group + j to. [R * group, d] -> [R, d]."""
-    order = np.asarray(order, dtype=np.intp)
-    _check_slots(a, order, a.shape[0], "combine_rows")
-    return _make(_slot_sum(a.data, order, group), (a,), lambda g: (g[order // group],))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -652,12 +656,14 @@ def finite_diff_check(
     n_probes: int | None = None,
     seed: int = 0,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and finite-difference gradients.
 
     ``f`` must be a deterministic scalar function of the current parameter
-    values. The error per probed element is |analytic - central| divided by
-    |analytic| + |central| + 1e-12, or by ``FINITE_DIFF_NOISE_MULTIPLE`` times
-    the central difference's float64 rounding noise when that is larger. With
+    values. The reference is the Richardson extrapolation (4 D(h/2) - D(h)) / 3
+    of central differences D, which cancels their h^2 truncation term. The
+    error per probed element is |analytic - reference| divided by
+    |analytic| + |reference| + 1e-12, or by ``FINITE_DIFF_NOISE_MULTIPLE`` times
+    the reference's float64 rounding noise when that is larger. With
     ``n_probes`` set, a seeded random subset of parameter elements is probed;
     otherwise every element is. Run this on float64 parameters: float32
     evaluation noise divided by 2h dominates the quantity being measured.
@@ -681,16 +687,20 @@ def finite_diff_check(
     with no_grad():
         for pi, j in probes:
             flat = params[pi].data.reshape(-1)
-            orig = flat[j]
-            flat[j] = orig + h
-            fp = float(f().data)
-            flat[j] = orig - h
-            fm = float(f().data)
+            orig, central, f_max = flat[j], [], 0.0
+            for step in (h, h / 2):
+                flat[j] = orig + step
+                fp = float(f().data)
+                flat[j] = orig - step
+                fm = float(f().data)
+                central.append((fp - fm) / (2.0 * step))
+                f_max = max(f_max, abs(fp), abs(fm))
             flat[j] = orig
-            central = (fp - fm) / (2.0 * h)
+            reference = (4.0 * central[1] - central[0]) / 3.0
             a = float(analytic[pi].reshape(-1)[j])
-            noise = np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / h
-            err = abs(a - central) / max(abs(a) + abs(central) + 1e-12,
-                                         FINITE_DIFF_NOISE_MULTIPLE * noise)
+            # D(h/2) carries twice D(h)'s rounding noise, the extrapolation (4 * 2 + 1) / 3 times
+            noise = 3.0 * np.finfo(np.float64).eps * f_max / h
+            err = abs(a - reference) / max(abs(a) + abs(reference) + 1e-12,
+                                           FINITE_DIFF_NOISE_MULTIPLE * noise)
             max_err = max(max_err, err)
     return max_err

@@ -1,9 +1,10 @@
 """Reference paths the fast ones are checked against: per-token routers for
 ``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
-key/value cache, the composed expressions that ``tn.linear`` and ``tn.ffn``
-compute as one node each, and GELU as whole-array expressions, which
-``tn.gelu`` evaluates in place. The system itself never calls these."""
+key/value cache, the composed expressions that ``tn.linear``, ``tn.ffn`` and
+``tn.expert_ffn`` compute as one node each, with the row ops they are built
+from, and GELU as whole-array expressions, which ``tn.gelu`` evaluates in
+place. The system itself never calls these."""
 
 import math
 from dataclasses import dataclass
@@ -122,6 +123,69 @@ def linear_composed(x, w, b):
 def ffn_composed(u, w_up, b_up, w_down, b_down, activation):
     """``tn.ffn`` as five nodes: matmul, bias add, activation, matmul, bias add."""
     return activation(u @ w_up + b_up) @ w_down + b_down
+
+
+def slice_rows(a, start: int, stop: int):
+    """Rows ``start:stop`` of a matrix."""
+    if a.ndim != 2:
+        raise ValueError(f"slice_rows expects a matrix, got shape {a.shape}")
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return tn._make(a.data[start:stop], (a,), bw)
+
+
+def concat_rows(parts):
+    parts = tuple(parts)
+    if not parts or any(p.ndim != 2 for p in parts):
+        raise ValueError("concat_rows expects a nonempty sequence of matrices")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def bw(g):
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+
+    return tn._make(np.concatenate([p.data for p in parts], axis=0), parts, bw)
+
+
+def _check_slots(a, order: np.ndarray, n_slots: int, op: str) -> None:
+    if a.ndim != 2 or order.shape != (n_slots,):
+        raise ValueError(f"{op} shape mismatch: {a.shape} with order {order.shape}")
+
+
+def dispatch_rows(a, order, group: int):
+    """out[i] = a[order[i] // group] for a permutation ``order`` of the
+    a.shape[0] * group slots, slot j of row r being r * group + j. The
+    backward pass is ``combine_rows``."""
+    order = np.asarray(order, dtype=np.intp)
+    _check_slots(a, order, a.shape[0] * group, "dispatch_rows")
+    return tn._make(a.data[order // group], (a,), lambda g: (tn._slot_sum(g, order, group),))
+
+
+def combine_rows(a, order, group: int):
+    """Adjoint of ``dispatch_rows``: out[r] = sum over j of the slot row that
+    ``order`` moved r * group + j to. [R * group, d] -> [R, d]."""
+    order = np.asarray(order, dtype=np.intp)
+    _check_slots(a, order, a.shape[0], "combine_rows")
+    return tn._make(tn._slot_sum(a.data, order, group), (a,), lambda g: (g[order // group],))
+
+
+def expert_ffn_composed(u, gates, sel, experts):
+    """``tn.expert_ffn`` as composed nodes: the rows and the gates dispatched
+    in expert order, one slice and one ``tn.ffn`` per non-empty expert, their
+    concatenation, the gate product and the combine."""
+    t, k = sel.shape
+    slots = sel.reshape(-1)
+    order = np.argsort(slots, kind="stable")
+    counts = np.bincount(slots, minlength=len(experts))
+    ends = np.cumsum(counts)
+    rows = dispatch_rows(u, order, k)
+    gate_rows = dispatch_rows(gates.reshape((t * k, 1)), order, 1)
+    outputs = [tn.ffn(slice_rows(rows, lo, hi), *experts[e], tn.gelu)
+               for e, (lo, hi) in enumerate(zip(ends - counts, ends)) if hi > lo]
+    return combine_rows(concat_rows(outputs) * gate_rows, order, k)
 
 
 def gelu_expressions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,16 +26,27 @@ def test_zero_gradient_elements_pass(seed):
     assert max(errors.values()) < 1e-3, errors
 
 
-def skewed_gelu(a: Tensor) -> Tensor:
-    """GELU whose backward is 1% too large; the forward is unchanged. One op of
-    its input, as ``tn.ffn`` requires of an activation."""
-    y = tn.gelu(a)
-    return tn._make(y.data, (a,), lambda g: (y._backward_fn(g)[0] * 1.01,))
+def skewed(activation):
+    """``activation`` with a backward 1% too large and the forward unchanged;
+    one op of its input, as ``tn.ffn`` requires of an activation."""
+    def act(a: Tensor) -> Tensor:
+        y = activation(a)
+        return tn._make(y.data, (a,), lambda g: (y._backward_fn(g)[0] * 1.01,))
+    return act
 
 
 @pytest.mark.parametrize("seed", [0, 17, 29])
 def test_one_percent_backward_error_fails_every_row(seed, monkeypatch):
-    monkeypatch.setattr(ffn_forward, "__defaults__", (skewed_gelu,))
+    monkeypatch.setattr(ffn_forward, "__defaults__", (skewed(tn.gelu),))
     errors = check_at(seed)
     assert set(errors) == {"dense", "moe", "mixing"}
     assert min(errors.values()) >= 1e-3, errors
+
+
+@pytest.mark.parametrize("seed", [0, 17, 29])
+def test_one_percent_routed_expert_error_fails_the_moe_row(seed, monkeypatch):
+    # ``tn.expert_ffn`` looks ``tn.gelu`` up when called; ``ffn_forward`` bound
+    # it at import, so the skew reaches the routed experts and nothing else.
+    monkeypatch.setattr(tn, "gelu", skewed(tn.gelu))
+    errors = check_at(seed)
+    assert errors["moe"] >= 1e-3 and errors["dense"] < 1e-3, errors

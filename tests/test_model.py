@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xft import tensor as tn
-from oracles import generate_uncached
+from oracles import concat_rows, generate_uncached, slice_rows
 from xft.model import (
     FFNWeights,
     KVCache,
@@ -147,7 +147,7 @@ def composed_attention(q, k, v, bounds, n_heads):
     eye = np.eye(d, dtype=q.data.dtype)
     segments = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        qs, ks, vs = (tn.slice_rows(x, lo, hi) for x in (q, k, v))
+        qs, ks, vs = (slice_rows(x, lo, hi) for x in (q, k, v))
         mask = Tensor(tn.causal_mask(hi - lo, q.data.dtype))
         out = None
         for h in range(n_heads):
@@ -156,7 +156,7 @@ def composed_attention(q, k, v, bounds, n_heads):
             head = (tn.softmax(scores) @ (vs @ pick)) @ pick.transpose()
             out = head if out is None else out + head
         segments.append(out)
-    return tn.concat_rows(segments)
+    return concat_rows(segments)
 
 
 class TestFusedAttention:
