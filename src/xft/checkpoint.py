@@ -24,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from xft.model import ModelConfig, Transformer, assemble
+from xft.model import ModelConfig, Transformer, assemble, config_from_dict
 from xft.moe import MoEConfig
 from xft.tensor import Tensor
 
@@ -135,8 +135,8 @@ def load_checkpoint(path: str) -> Transformer:
         r = _Reader(f, path)
         config = _read_config(r)
         try:
-            model_cfg = ModelConfig.from_dict(config["model"])
-            moe_cfg = MoEConfig.from_dict(config["moe"]) if config.get("moe") else None
+            model_cfg = config_from_dict(ModelConfig, config["model"])
+            moe_cfg = config_from_dict(MoEConfig, config["moe"]) if config.get("moe") else None
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path!r}: malformed config blob: {e}") from e
 

@@ -9,7 +9,7 @@ is uniform across a model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -28,39 +28,33 @@ class ModelConfig:
     max_seq_len: int = 256
 
     def __post_init__(self):
-        for field in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_seq_len": self.max_seq_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: config_field(d, k, int) for k in (
-            "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len")})
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def config_field(d: dict, key: str, kind: type):
-    """``d[key]`` as ``kind``, which it must already be in JSON terms: an int
-    that is not a bool, a bool, or for float any number that is not a bool;
-    anything else is a TypeError."""
-    value = d[key]
-    if (isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, (int, float) if kind is float else kind)):
-        raise TypeError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+_CONFIG_KINDS = {"int": int, "bool": bool, "float": float}
+
+
+def config_from_dict(cls, d: dict):
+    """The config dataclass ``cls`` from ``d``, which holds each field with its
+    declared type in JSON terms: an int that is not a bool, a bool, or for
+    float any number that is not a bool; anything else is a TypeError."""
+    values = {}
+    for f in fields(cls):
+        kind, value = _CONFIG_KINDS[f.type], d[f.name]
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, (int, float) if kind is float else kind)):
+            raise TypeError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        values[f.name] = kind(value)
+    return cls(**values)
 
 
 @dataclass

@@ -13,12 +13,12 @@ Expert indices are 0-based here; the shared expert is index 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights, Transformer, assemble, config_field, ffn_forward
+from xft.model import FFNWeights, Transformer, assemble, ffn_forward
 from xft.tensor import Tensor
 
 SHARED_EXPERT = 0
@@ -46,21 +46,7 @@ class MoEConfig:
                 f"router_init_std must be positive and finite, got {self.router_init_std}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_experts": self.n_experts,
-            "top_k": self.top_k,
-            "normalization_enabled": self.normalization_enabled,
-            "router_init_std": self.router_init_std,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MoEConfig":
-        return cls(
-            n_experts=config_field(d, "n_experts", int),
-            top_k=config_field(d, "top_k", int),
-            normalization_enabled=config_field(d, "normalization_enabled", bool),
-            router_init_std=config_field(d, "router_init_std", float),
-        )
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class RoutingRecord:

@@ -6,13 +6,12 @@ its inputs and a backward rule; ``backward`` replays the recorded graph in
 reverse topological order and accumulates gradients into the leaves.
 
 Broadcasting is deliberately limited to the cases the transformer needs:
-bias addition (1-d vector against the last axis), scalar scaling, and
-per-row column scaling. Anything else raises.
+scalar and size-1 scaling, and per-row column scaling. Anything else raises.
 
 Dense layers are fused nodes: ``linear`` is x @ w + b and ``ffn`` is
 activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
 rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
-op of its input (``gelu``, ``identity``): the node replays that op's backward.
+op of its input, such as ``gelu``: the node replays that op's backward.
 ``expert_ffn`` is an MoE layer's routed experts, gating and combine as one node.
 """
 
@@ -92,9 +91,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def is_leaf(self) -> bool:
         return not self._parents
 
@@ -108,9 +104,6 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __rsub__(self, other):
         return rsub(other, self)
 
@@ -120,31 +113,14 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division by a Tensor is not supported; divide by a Python scalar")
-        return mul(self, 1.0 / float(other))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def sum(self):
         return tsum(self)
 
-    def mean(self):
-        return tmean(self)
-
     def transpose(self):
         return transpose(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def backward(self):
-        backward(self)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -209,38 +185,19 @@ def _is_scalar_number(x) -> bool:
 
 def _sum_to_last_axis(g: np.ndarray) -> np.ndarray:
     """Reduce a gradient to a 1-d bias shape by summing leading axes."""
-    if g.ndim == 1:
-        return g
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def add(a: Tensor, b) -> Tensor:
+    """a + b for a Python scalar b or a tensor b of a's shape."""
     if _is_scalar_number(b):
         c = float(b)
         return _make(a.data + c, (a,), lambda g: (g,))
     if not isinstance(b, Tensor):
         raise TypeError(f"cannot add Tensor and {type(b).__name__}")
-    if a.shape == b.shape:
-        return _make(a.data + b.data, (a, b), lambda g: (g, g))
-    # bias add: 1-d vector against the last axis of the other operand
-    if b.ndim == 1 and a.shape[-1] == b.shape[0]:
-        return _make(a.data + b.data, (a, b),
-                     lambda g: (g, _sum_to_last_axis(g) if b.requires_grad else None))
-    if a.ndim == 1 and b.shape[-1] == a.shape[0]:
-        return _make(a.data + b.data, (a, b),
-                     lambda g: (_sum_to_last_axis(g) if a.requires_grad else None, g))
-    raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-
-
-def sub(a: Tensor, b) -> Tensor:
-    if _is_scalar_number(b):
-        c = float(b)
-        return _make(a.data - c, (a,), lambda g: (g,))
-    if not isinstance(b, Tensor):
-        raise TypeError(f"cannot subtract {type(b).__name__} from Tensor")
     if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
+        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def rsub(c, a: Tensor) -> Tensor:
@@ -413,26 +370,11 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    orig = a.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
-
-
 def tsum(a: Tensor) -> Tensor:
     def bw(g):
         return (np.broadcast_to(g, a.shape),)
 
     return _make(a.data.sum(), (a,), bw)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.size
-
-    def bw(g):
-        return (np.broadcast_to(g / n, a.shape),)
-
-    return _make(a.data.mean(), (a,), bw)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -614,11 +556,6 @@ def gelu(a: Tensor) -> Tensor:
         return (dy,)
 
     return _make(y, (a,), bw)
-
-
-def identity(a: Tensor) -> Tensor:
-    """Identity activation (testing stand-in for the FFN nonlinearity)."""
-    return _make(a.data.copy(), (a,), lambda g: (g,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -10,7 +10,6 @@ merge phase trains only its mixing logits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -147,9 +146,12 @@ def tokenize_and_mask(ex: InstructionExample, tokenizer: ByteTokenizer,
     """BOS + instruction + SEP + output + EOS with the loss mask on output+EOS.
 
     Over-length sequences lose instruction tokens from the left first, then
-    output tokens from the right; an example whose output is fully truncated
-    is skipped (returns None) with a warning.
+    output tokens from the right. ``max_seq_len`` must be at least 4, so that
+    at least one output token survives.
     """
+    if max_seq_len < 4:
+        raise ValueError(f"max_seq_len {max_seq_len} leaves no room for an output token; "
+                         f"it must be at least 4")
     instr = tokenizer.encode(ex.instruction)
     out = tokenizer.encode(ex.output)
     overflow = (len(instr) + len(out) + 3) - max_seq_len
@@ -159,20 +161,15 @@ def tokenize_and_mask(ex: InstructionExample, tokenizer: ByteTokenizer,
         overflow -= drop
     if overflow > 0:
         out = out[: len(out) - overflow]
-    if not out:
-        warnings.warn(f"skipping example with fully truncated output: {ex.instruction[:40]!r}")
-        return None
     tokens = [tokenizer.BOS] + instr + [tokenizer.SEP] + out + [tokenizer.EOS]
     mask = [0] * (len(instr) + 2) + [1] * (len(out) + 1)
     return tokens, mask
 
 
 def encode_examples(examples: Sequence[InstructionExample], max_seq_len: int) -> list:
-    """``tokenize_and_mask`` under the byte tokenizer of every example whose
-    output survives truncation."""
+    """``tokenize_and_mask`` of every example under the byte tokenizer."""
     tokenizer = ByteTokenizer()
-    return [enc for enc in (tokenize_and_mask(ex, tokenizer, max_seq_len) for ex in examples)
-            if enc is not None]
+    return [tokenize_and_mask(ex, tokenizer, max_seq_len) for ex in examples]
 
 
 def dataset_loss(model: Transformer, examples: Sequence[InstructionExample]) -> float:
@@ -205,8 +202,6 @@ def sft_train(trainable, examples: Sequence[InstructionExample], hyper: TrainHyp
         raise ValueError("dataset must be nonempty")
 
     encoded = encode_examples(examples, trainable.cfg.max_seq_len)
-    if not encoded:
-        raise ValueError("no usable examples after tokenization")
 
     if hyper.epochs == 0:
         return []

@@ -2,9 +2,10 @@
 ``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
 key/value cache, the composed expressions that ``tn.linear``, ``tn.ffn`` and
-``tn.expert_ffn`` compute as one node each, with the row ops they are built
-from, and GELU as whole-array expressions, which ``tn.gelu`` evaluates in
-place. The system itself never calls these."""
+``tn.expert_ffn`` compute as one node each, with the bias add and row ops
+they are built from, the ``reshape`` and ``identity`` ops the tests use, and
+GELU as whole-array expressions, which ``tn.gelu`` evaluates in place. The
+system itself never calls these."""
 
 import math
 from dataclasses import dataclass
@@ -115,14 +116,32 @@ def generate_uncached(model, prompt, max_new: int) -> list[int]:
     return seq
 
 
+def add_bias(a, b):
+    """a + b for a matrix a and a bias b along its last axis."""
+    if b.ndim != 1 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"add_bias shape mismatch: {a.shape} + {b.shape}")
+    return tn._make(a.data + b.data, (a, b),
+                    lambda g: (g, tn._sum_to_last_axis(g) if b.requires_grad else None))
+
+
+def reshape(a, shape):
+    """``a`` with its elements in row-major order laid out as ``shape``."""
+    return tn._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def identity(a):
+    """Identity activation, a stand-in for GELU as ``tn.ffn``'s activation."""
+    return tn._make(a.data.copy(), (a,), lambda g: (g,))
+
+
 def linear_composed(x, w, b):
     """``tn.linear`` as two nodes: matmul, then bias add."""
-    return x @ w + b
+    return add_bias(x @ w, b)
 
 
 def ffn_composed(u, w_up, b_up, w_down, b_down, activation):
     """``tn.ffn`` as five nodes: matmul, bias add, activation, matmul, bias add."""
-    return activation(u @ w_up + b_up) @ w_down + b_down
+    return add_bias(activation(add_bias(u @ w_up, b_up)) @ w_down, b_down)
 
 
 def slice_rows(a, start: int, stop: int):
@@ -182,7 +201,7 @@ def expert_ffn_composed(u, gates, sel, experts):
     counts = np.bincount(slots, minlength=len(experts))
     ends = np.cumsum(counts)
     rows = dispatch_rows(u, order, k)
-    gate_rows = dispatch_rows(gates.reshape((t * k, 1)), order, 1)
+    gate_rows = dispatch_rows(reshape(gates, (t * k, 1)), order, 1)
     outputs = [tn.ffn(slice_rows(rows, lo, hi), *experts[e], tn.gelu)
                for e, (lo, hi) in enumerate(zip(ends - counts, ends)) if hi > lo]
     return combine_rows(concat_rows(outputs) * gate_rows, order, k)

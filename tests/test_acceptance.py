@@ -8,6 +8,7 @@ checkpoints on disk and is shared by both tests through a session fixture.
 import functools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ def smoke(tmp_path_factory):
         "paths": paths,
         "sweep": sweep,
         "losses": losses,
-        "moe_curve": json.loads(open(moe_curve).read()),
-        "soup_coeffs": json.loads(open(soup_coeffs).read()),
+        "moe_curve": json.loads(Path(moe_curve).read_text()),
+        "soup_coeffs": json.loads(Path(soup_coeffs).read_text()),
         "elapsed": time.monotonic() - start,
         "held": held,
     }

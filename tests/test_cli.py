@@ -161,6 +161,15 @@ class TestIOErrors:
         assert f"{source} must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sequence_too_short_for_an_output_writes_nothing(self, workspace, capsys):
+        tmp_path, _, data = workspace
+        short, out, curve = (tmp_path / name for name in ("short.xftc", "out.xftc", "c.json"))
+        assert run("init", "--out", str(short), *MODEL_FLAGS, "--seq-len", "3") == EXIT_OK
+        assert run("train-sft", "--ckpt", str(short), "--data", data, "--out", str(out),
+                   "--curve", str(curve)) == EXIT_IO
+        assert "at least 4" in capsys.readouterr().err
+        assert not out.exists() and not curve.exists()
+
     def test_negative_max_new_is_io_error(self, workspace, capsys):
         _, dense, _ = workspace
         assert run("generate", "--ckpt", dense, "--prompt", "hi", "--max-new", "-5") == EXIT_IO

@@ -1,7 +1,9 @@
 """Checkpoint round trips, format validation, and dataset parsing."""
 
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ class TestCheckpointRoundTrip:
         a, b = str(tmp_path / "a.xftc"), str(tmp_path / "b.xftc")
         save_checkpoint(model, a, meta={"phase": "init", "seed": 7})
         save_checkpoint(model, b, meta={"phase": "init", "seed": 7})
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_kind_distinguished_by_config_blob(self, tmp_path):
         dense = build_dense_model(small_cfg(), seed=1)
@@ -120,24 +122,24 @@ class TestCheckpointValidation:
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = self.write_valid(tmp_path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"NOPE"
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = self.write_valid(tmp_path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:8] = struct.pack("<I", 9)
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         with pytest.raises(CheckpointError, match="version 9"):
             load_checkpoint(path)
 
     def test_truncated_data_rejected_with_byte_counts(self, tmp_path):
         path = self.write_valid(tmp_path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-257])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-257])
         with pytest.raises(CheckpointError, match=r"truncated.*bytes"):
             load_checkpoint(path)
 
@@ -152,7 +154,7 @@ class TestCheckpointValidation:
         path = str(tmp_path / "g.xftc")
         blob = b'{"malformed": true}'
         payload = MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob
-        open(path, "wb").write(payload)
+        Path(path).write_bytes(payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -167,6 +169,22 @@ def checkpoint_bytes(config: dict, entries, data: bytes) -> bytes:
         out += struct.pack("<Q", len(encoded)) + encoded + struct.pack("<BB", 0, len(shape))
         out += struct.pack(f"<{len(shape)}Q", *shape) + struct.pack("<Q", offset)
     return out + struct.pack("<Q", len(data)) + data
+
+
+# (section, field, value of the wrong JSON type): at least one per config field
+WRONG_TYPE_CASES = [
+    ("moe", "normalization_enabled", "false"),
+    ("moe", "normalization_enabled", 0),
+    ("moe", "n_experts", 4.7),
+    ("moe", "top_k", True),
+    ("moe", "router_init_std", "0.02"),
+    ("model", "vocab_size", False),
+    ("model", "d_model", 8.9),
+    ("model", "n_layers", "2"),
+    ("model", "n_heads", 2.0),
+    ("model", "d_ff", None),
+    ("model", "max_seq_len", [48]),
+]
 
 
 class TestCheckpointDirectory:
@@ -185,14 +203,14 @@ class TestCheckpointDirectory:
 
     def load(self, tmp_path, config, entries, data):
         path = str(tmp_path / "c.xftc")
-        open(path, "wb").write(checkpoint_bytes(config, entries, data))
+        Path(path).write_bytes(checkpoint_bytes(config, entries, data))
         return load_checkpoint(path)
 
     def test_builder_matches_saved_file(self, tmp_path):
         model, config, entries, data = self.parts()
         path = str(tmp_path / "saved.xftc")
         save_checkpoint(model, path)
-        assert open(path, "rb").read() == checkpoint_bytes(config, entries, data)
+        assert Path(path).read_bytes() == checkpoint_bytes(config, entries, data)
 
     def test_duplicate_tensor_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
@@ -225,20 +243,17 @@ class TestCheckpointDirectory:
         with pytest.raises(CheckpointError, match="unexpected.*experts.9"):
             self.load(tmp_path, config, entries + extra, data + bytes(16))
 
-    @pytest.mark.parametrize("section, field, value", [
-        ("moe", "normalization_enabled", "false"),
-        ("moe", "normalization_enabled", 0),
-        ("moe", "n_experts", 4.7),
-        ("moe", "top_k", True),
-        ("moe", "router_init_std", "0.02"),
-        ("model", "d_model", 8.9),
-        ("model", "n_layers", "2"),
-    ])
+    @pytest.mark.parametrize("section, field, value", WRONG_TYPE_CASES)
     def test_config_field_of_wrong_type_rejected(self, tmp_path, section, field, value):
         _, config, entries, data = self.parts()
         config[section] = dict(config[section], **{field: value})
         with pytest.raises(CheckpointError, match=field):
             self.load(tmp_path, config, entries, data)
+
+    def test_every_config_field_has_a_wrong_type_case(self):
+        declared = {(section, f.name) for section, cls in (("model", ModelConfig), ("moe", MoEConfig))
+                    for f in dataclasses.fields(cls)}
+        assert {(section, field) for section, field, _ in WRONG_TYPE_CASES} == declared
 
     def test_config_field_of_wrong_type_exits_2(self, tmp_path, capsys):
         _, config, entries, data = self.parts()
@@ -282,8 +297,8 @@ class TestCheckpointDirectory:
         path = str(tmp_path / "head.xftc")
         save_checkpoint(model, path)
         blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        head = open(path, "rb").read()[:16 + len(blob)]
-        open(path, "wb").write(head)
+        head = Path(path).read_bytes()[:16 + len(blob)]
+        Path(path).write_bytes(head)
         assert read_checkpoint_config(path) == config
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)

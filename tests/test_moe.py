@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from xft import tensor as tn
 from xft.model import ModelConfig, build_dense_model, model_forward_loss
-from oracles import affinity_scores, route_shared_normalized, route_standard
+from oracles import affinity_scores, reshape, route_shared_normalized, route_standard
 from xft.moe import MoEConfig, MoELayer, SHARED_EXPERT, upcycle_dense_to_moe
 from xft.model import FFNWeights, ffn_forward
 from xft.moe import RoutingRecord
@@ -216,7 +216,7 @@ def per_expert_forward(layer: MoELayer, u: Tensor) -> Tensor:
     s_max = tn.take_along_rows(scores, ranked[:, :1])
     normal_gates = tn.softmax(tn.take_along_rows(scores, sel)) * s_max
     h = u + ffn_forward(u, layer.experts[SHARED_EXPERT]) * (1.0 - s_max)
-    gates_flat = normal_gates.reshape((t * r, 1))
+    gates_flat = reshape(normal_gates, (t * r, 1))
     for e in range(1, layer.cfg.n_experts):
         rows, slots = np.nonzero(sel == e - 1)
         if rows.size == 0:

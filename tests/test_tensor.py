@@ -6,7 +6,15 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import expert_ffn_composed, ffn_composed, gelu_expressions, linear_composed
+from oracles import (
+    add_bias,
+    expert_ffn_composed,
+    ffn_composed,
+    gelu_expressions,
+    identity,
+    linear_composed,
+    reshape,
+)
 from xft import tensor as tn
 
 
@@ -109,9 +117,9 @@ class TestBackward:
         targets = np.array([0, 3, 1, 2, 0])
 
         def f():
-            logits = tn.gelu(x @ w1 + b1) @ w2
+            logits = tn.gelu(add_bias(x @ w1, b1)) @ w2
             logp = tn.log_softmax(logits)
-            return -tn.take_along_rows(logp, targets[:, None]).mean()
+            return -tn.take_along_rows(logp, targets[:, None]).sum() * (1.0 / len(targets))
 
         err = tn.finite_diff_check(f, [w1, b1, w2])
         assert err < 1e-3
@@ -129,7 +137,7 @@ class TestFiniteDiffCheck:
         targets = np.array([1, 6, 0])
 
         def f():
-            return -tn.take_along_rows(tn.log_softmax(z), targets[:, None]).mean()
+            return -tn.take_along_rows(tn.log_softmax(z), targets[:, None]).sum() * (1.0 / len(targets))
 
         assert tn.finite_diff_check(f, [z]) < 1e-3
 
@@ -172,8 +180,6 @@ EXPERT_SHAPES = [(5, 4), (5, 2)] + FFN_SHAPES[1:] * 3
 # a fixed random weighting so every element carries a distinct gradient.
 OP_CASES = [
     ("add.same", lambda a, b: a + b, [(3, 5), (3, 5)]),
-    ("add.bias", lambda a, b: a + b, [(4, 3), (3,)]),
-    ("sub", lambda a, b: a - b, [(2, 6), (2, 6)]),
     ("rsub", lambda a: 1.0 - a, [(3, 2)]),
     ("mul.same", lambda a, b: a * b, [(3, 4), (3, 4)]),
     ("mul.scalar_tensor", lambda s, m: s * m, [(1, 1), (4, 3)]),
@@ -183,7 +189,7 @@ OP_CASES = [
     ("ffn", ffn_gelu, FFN_SHAPES),
     ("expert_ffn", expert_op(EXPERT_SEL), EXPERT_SHAPES),
     ("transpose", lambda a: a.transpose(), [(3, 5)]),
-    ("reshape", lambda a: a.reshape((8, 3)), [(4, 6)]),
+    ("reshape", lambda a: reshape(a, (8, 3)), [(4, 6)]),
     ("gather_rows", lambda a: tn.gather_rows(a, [0, 2, 2, 5]), [(6, 3)]),
     ("take_along_rows",
      lambda a: tn.take_along_rows(a, np.array([[0, 3], [1, 1], [4, 0], [2, 3]])),
@@ -200,7 +206,7 @@ OP_CASES = [
     ("softmax", tn.softmax, [(3, 6)]),
     ("log_softmax", tn.log_softmax, [(3, 6)]),
     ("gelu", tn.gelu, [(4, 4)]),
-    ("identity", tn.identity, [(4, 4)]),
+    ("identity", identity, [(4, 4)]),
     ("layer_norm", tn.layer_norm, [(4, 6), (6,), (6,)]),
 ]
 
@@ -223,8 +229,6 @@ class TestGradientsAllOps:
 # (name, op, shapes, frozen operand): broadcasting ops whose backward rule
 # reduces or scales the incoming gradient for that operand
 FROZEN_CASES = [
-    ("add.bias", lambda a, b: a + b, [(4, 3), (3,)], 1),
-    ("add.bias_first", lambda a, b: a + b, [(3,), (4, 3)], 0),
     ("mul.scalar_tensor", lambda a, b: a * b, [(1, 1), (4, 3)], 0),
     ("mul.scalar_tensor.frozen_tensor", lambda a, b: a * b, [(1, 1), (4, 3)], 1),
     ("mul.tensor_scalar", lambda a, b: a * b, [(4, 3), (1,)], 1),
@@ -295,7 +299,7 @@ class TestFusedDense:
         assert all(g is not None for g in fused)
         assert_bit_identical(fused, forward_and_grads(linear_composed, shapes, rows))
 
-    @pytest.mark.parametrize("activation", [tn.gelu, tn.identity], ids=["gelu", "identity"])
+    @pytest.mark.parametrize("activation", [tn.gelu, identity], ids=["gelu", "identity"])
     @pytest.mark.parametrize("rows", [1, 33, 238])
     def test_ffn_matches_composed_ops(self, rows, activation):
         shapes = [(rows, 16), (16, 40), (40,), (40, 16), (16,)]
@@ -434,5 +438,7 @@ class TestInvariants:
     def test_broadcast_outside_supported_cases_rejected(self):
         with pytest.raises(ValueError):
             t(np.zeros((2, 3))) + t(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="add shape mismatch"):
+            t(np.zeros((2, 3))) + t(np.zeros(3))
         with pytest.raises(ValueError):
             t(np.zeros((2, 3))) * t(np.zeros((4, 3)))

@@ -150,10 +150,16 @@ class TestTokenizeAndMask:
         assert "abcdefghij".endswith(kept)
         assert sum(mask) == 3  # output fully preserved
 
-    def test_fully_truncated_output_skipped_with_warning(self):
+    def test_sequence_too_short_for_an_output_token_rejected(self):
         ex = InstructionExample("hello", "world")
-        with pytest.warns(UserWarning, match="truncated"):
-            assert tokenize_and_mask(ex, self.TOK, max_seq_len=3) is None
+        with pytest.raises(ValueError, match="at least 4"):
+            tokenize_and_mask(ex, self.TOK, max_seq_len=3)
+
+    def test_shortest_sequence_keeps_one_output_token(self):
+        tokens, mask = tokenize_and_mask(InstructionExample("hello", "world"), self.TOK,
+                                         max_seq_len=4)
+        assert tokens == [self.TOK.BOS, self.TOK.SEP, ord("w"), self.TOK.EOS]
+        assert mask == [0, 0, 1, 1]
 
     def test_empty_fields_rejected_at_construction(self):
         with pytest.raises(ValueError, match="nonempty"):
