@@ -22,6 +22,7 @@ from xft.dataset import DatasetError, load_instruction_dataset
 from xft.merge import (
     DEFAULT_SHARED_RATE,
     EWA_DEFAULT_BETA,
+    EWA_SCHEDULES,
     EWAConfig,
     MixingCoefficients,
     ewa_beta_at_step,
@@ -32,8 +33,9 @@ from xft.merge import (
     merge_xft,
 )
 from xft.model import ModelConfig, build_dense_model, generate_greedy
-from xft.moe import DEFAULT_N_EXPERTS, DEFAULT_TOP_K, MoEConfig, upcycle_dense_to_moe
+from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.train import (
+    MIN_SEQ_LEN,
     ByteTokenizer,
     TrainHyper,
     TrainingDiverged,
@@ -71,7 +73,7 @@ def _add_seed(p):
 
 def _add_train_args(p, default_lr):
     p.add_argument("--data", required=True, help="instruction JSONL")
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--batch-size", type=int, default=TrainHyper.batch_size)
     p.add_argument("--lr", type=float, default=default_lr)
     p.add_argument("--warmup", type=int, default=None,
                    help="warmup steps (default: total steps // 10)")
@@ -84,11 +86,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("init", help="create a random dense model")
     p.add_argument("--out", required=True)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--seq-len", type=int, default=256)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--layers", type=int, default=ModelConfig.n_layers)
+    p.add_argument("--heads", type=int, default=ModelConfig.n_heads)
+    p.add_argument("--d-ff", type=int, default=ModelConfig.d_ff)
+    p.add_argument("--seq-len", type=int, default=ModelConfig.max_seq_len)
     _add_seed(p)
 
     p = sub.add_parser("train-sft", help="supervised fine-tuning of a dense model")
@@ -101,9 +103,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("upcycle", help="convert a dense checkpoint to a shared-expert MoE")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--experts", type=int, default=DEFAULT_N_EXPERTS)
-    p.add_argument("--topk", type=int, default=DEFAULT_TOP_K)
-    p.add_argument("--router-std", type=float, default=0.02)
+    p.add_argument("--experts", type=int, default=MoEConfig.n_experts)
+    p.add_argument("--topk", type=int, default=MoEConfig.top_k)
+    p.add_argument("--router-std", type=float, default=MoEConfig.router_init_std)
     p.add_argument("--no-normalization", action="store_true",
                    help="drop routing weight normalization (scale-mismatch ablation)")
     _add_seed(p)
@@ -114,8 +116,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=MOE_EPOCHS_DEFAULT)
     p.add_argument("--ewa-beta", type=float, default=None,
                    help=f"enable EWA expert blending (reference share rate {EWA_DEFAULT_BETA})")
-    p.add_argument("--ewa-schedule", choices=("constant", "linear"), default=None,
-                   help="with --ewa-beta: share rate schedule (default constant)")
+    p.add_argument("--ewa-schedule", choices=EWA_SCHEDULES, default=None,
+                   help=f"with --ewa-beta: share rate schedule (default {EWAConfig.schedule})")
     _add_train_args(p, MOE_LR_DEFAULT)
     _add_seed(p)
 
@@ -195,6 +197,9 @@ def _report_curve(args, curve, n_examples: int) -> None:
 
 
 def cmd_init(args) -> int:
+    if args.seq_len < MIN_SEQ_LEN:
+        raise ValueError(f"--seq-len {args.seq_len} leaves no room for an output token; "
+                         f"it must be at least {MIN_SEQ_LEN}")
     cfg = ModelConfig(vocab_size=ByteTokenizer.vocab_size, d_model=args.d_model,
                       n_layers=args.layers, n_heads=args.heads, d_ff=args.d_ff,
                       max_seq_len=args.seq_len)
@@ -240,7 +245,7 @@ def cmd_train_moe(args) -> int:
 
     post_step = None
     if args.ewa_beta is not None:
-        ewa_cfg = EWAConfig(beta=args.ewa_beta, schedule=args.ewa_schedule or "constant")
+        ewa_cfg = EWAConfig(beta=args.ewa_beta, schedule=args.ewa_schedule or EWAConfig.schedule)
         total_steps = hyper.epochs * steps_per_epoch(len(examples), hyper.batch_size)
 
         def post_step(step):

@@ -23,6 +23,7 @@ from xft.train import InstructionExample, TrainHyper, sft_train
 
 DEFAULT_SHARED_RATE = 0.75       # 8-expert configuration
 EWA_DEFAULT_BETA = 0.3
+EWA_SCHEDULES = ("constant", "linear")  # "linear" ramps 0 -> beta across training
 
 ALPHA_SUM_TOL = 1e-6
 
@@ -191,12 +192,12 @@ def merge_uniform(model: Transformer) -> Transformer:
 @dataclass
 class EWAConfig:
     beta: float = EWA_DEFAULT_BETA
-    schedule: str = "constant"  # "linear" ramps 0 -> beta across training
+    schedule: str = EWA_SCHEDULES[0]
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"share rate beta must lie in [0, 1], got {self.beta}")
-        if self.schedule not in ("constant", "linear"):
+        if self.schedule not in EWA_SCHEDULES:
             raise ValueError(f"unknown EWA schedule {self.schedule!r}")
 
 

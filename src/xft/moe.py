@@ -23,14 +23,11 @@ from xft.tensor import Tensor
 
 SHARED_EXPERT = 0
 
-DEFAULT_N_EXPERTS = 8
-DEFAULT_TOP_K = 6
-
 
 @dataclass
 class MoEConfig:
-    n_experts: int = DEFAULT_N_EXPERTS
-    top_k: int = DEFAULT_TOP_K          # selected experts per token, shared included
+    n_experts: int = 8
+    top_k: int = 6                      # selected experts per token, shared included
     normalization_enabled: bool = True  # False: raw affinity gates (scale mismatch)
     router_init_std: float = 0.02
 

@@ -35,6 +35,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01  # decoupled; AdamW applies it to matrices only
 CLIP_NORM = 1.0  # bound on the global gradient norm before each update
+MIN_SEQ_LEN = 4  # BOS, SEP, one output token and EOS
 
 
 @dataclass
@@ -146,12 +147,12 @@ def tokenize_and_mask(ex: InstructionExample, tokenizer: ByteTokenizer,
     """BOS + instruction + SEP + output + EOS with the loss mask on output+EOS.
 
     Over-length sequences lose instruction tokens from the left first, then
-    output tokens from the right. ``max_seq_len`` must be at least 4, so that
-    at least one output token survives.
+    output tokens from the right. ``max_seq_len`` must be at least
+    ``MIN_SEQ_LEN``, so that at least one output token survives.
     """
-    if max_seq_len < 4:
+    if max_seq_len < MIN_SEQ_LEN:
         raise ValueError(f"max_seq_len {max_seq_len} leaves no room for an output token; "
-                         f"it must be at least 4")
+                         f"it must be at least {MIN_SEQ_LEN}")
     instr = tokenizer.encode(ex.instruction)
     out = tokenizer.encode(ex.output)
     overflow = (len(instr) + len(out) + 3) - max_seq_len

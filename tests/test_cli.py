@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import re
@@ -15,8 +16,10 @@ from xft.checkpoint import load_checkpoint, read_checkpoint_config, save_checkpo
 from xft import cli
 from xft.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, cli_dispatch
 from xft.dataset import save_instruction_dataset
-from xft.merge import init_mixing_coefficients
-from xft.train import InstructionExample
+from xft.merge import EWA_SCHEDULES, EWAConfig, init_mixing_coefficients
+from xft.model import ModelConfig, build_dense_model
+from xft.moe import MoEConfig
+from xft.train import ByteTokenizer, InstructionExample, TrainHyper
 
 MODEL_FLAGS = ["--d-model", "16", "--layers", "2", "--heads", "2", "--d-ff", "20",
                "--seq-len", "48"]
@@ -36,6 +39,12 @@ def workspace(tmp_path):
 
 def run(*argv) -> int:
     return cli_dispatch(list(argv))
+
+
+def subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestUsage:
@@ -67,9 +76,7 @@ class TestUsage:
         """``xft --help`` opens with the module docstring's command list."""
         listed = re.match(r"Pipeline command line: (.*?)\.\n", cli.__doc__, flags=re.S)
         names = [n.strip() for n in listed.group(1).split(",")]
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        assert sorted(names) == sorted(subparsers.choices)
+        assert sorted(names) == sorted(subcommands())
 
     def test_every_declared_flag_is_read(self):
         """Each subcommand's handler, or a module function it hands ``args``
@@ -90,10 +97,8 @@ class TestUsage:
                     found |= reads(node.func.id, seen)
             return found
 
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
         unread = {}
-        for command, sub in subparsers.choices.items():
+        for command, sub in subcommands().items():
             declared = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
             missing = declared - reads(cli._HANDLERS[command].__name__, set())
             if missing:
@@ -161,14 +166,74 @@ class TestIOErrors:
         assert f"{source} must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_init_rejects_sequence_too_short_for_an_output(self, tmp_path, capsys):
+        out = tmp_path / "short.xftc"
+        assert run("init", "--out", str(out), *MODEL_FLAGS, "--seq-len", "3") == EXIT_IO
+        assert "at least 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sequence_too_short_for_an_output_writes_nothing(self, workspace, capsys):
         tmp_path, _, data = workspace
         short, out, curve = (tmp_path / name for name in ("short.xftc", "out.xftc", "c.json"))
-        assert run("init", "--out", str(short), *MODEL_FLAGS, "--seq-len", "3") == EXIT_OK
+        cfg = ModelConfig(vocab_size=ByteTokenizer.vocab_size, d_model=16, n_layers=2,
+                          n_heads=2, d_ff=20, max_seq_len=3)  # init refuses this length
+        save_checkpoint(build_dense_model(cfg, seed=3), str(short))
         assert run("train-sft", "--ckpt", str(short), "--data", data, "--out", str(out),
                    "--curve", str(curve)) == EXIT_IO
         assert "at least 4" in capsys.readouterr().err
         assert not out.exists() and not curve.exists()
+
+    @pytest.mark.parametrize("command, holds, flags", [
+        ("train-sft", "an MoE", ("--data", "DATA", "--out", "OUT")),
+        ("merge", "a dense", ("--out", "OUT")),
+        ("route-stats", "a dense", ("--data", "DATA", "--out", "OUT")),
+        ("verify", "a dense", ()),
+    ], ids=["train-sft-on-moe", "merge-on-dense", "route-stats-on-dense", "verify-on-dense"])
+    def test_wrong_model_kind_writes_nothing(self, workspace, capsys, command, holds, flags):
+        tmp_path, dense, data = workspace
+        ckpt, out = dense, tmp_path / "out"
+        if holds == "an MoE":
+            ckpt = str(tmp_path / "moe.xftc")
+            run("upcycle", "--ckpt", dense, "--out", ckpt, "--experts", "4", "--topk", "3")
+        argv = [{"DATA": data, "OUT": str(out)}.get(a, a) for a in flags]
+        assert run(command, "--ckpt", ckpt, *argv) == EXIT_IO
+        assert f"holds {holds} model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        assert run("init", "--out", str(tmp_path / "missing" / "d.xftc")) == EXIT_IO
+        assert "cannot write checkpoint" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_init_onto_a_directory_leaves_no_temp_file(self, tmp_path, capsys):
+        # the temp file is written, then cannot replace a directory
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert run("init", "--out", str(target)) == EXIT_IO
+        assert "cannot write checkpoint" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'["describe", "sun"]\n', ":1: expected a JSON object"),
+        (b'{"instruction": "a", "output": 3}\n', ":1: field 'output' must be a string"),
+        (b'{"instruction": "caf\xe9", "output": "b"}\n', "cannot read dataset"),
+    ], ids=["json-array", "field-not-a-string", "not-utf-8"])
+    def test_bad_dataset_writes_nothing(self, workspace, capsys, raw, message):
+        tmp_path, dense, _ = workspace
+        bad, out, curve = (tmp_path / name for name in ("bad.jsonl", "out.xftc", "c.json"))
+        bad.write_bytes(raw)
+        assert run("train-sft", "--ckpt", dense, "--data", str(bad), "--out", str(out),
+                   "--curve", str(curve)) == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not curve.exists()
+
+    def test_generate_stops_the_completion_at_eos(self, workspace, capsys, monkeypatch):
+        _, dense, _ = workspace
+        tok = ByteTokenizer()
+        monkeypatch.setattr(cli, "generate_greedy", lambda model, prompt, max_new:
+                            prompt + tok.encode("ok") + [tok.EOS] + tok.encode("no"))
+        assert run("generate", "--ckpt", dense, "--prompt", "hi") == EXIT_OK
+        assert capsys.readouterr().out == "ok\n"
 
     def test_negative_max_new_is_io_error(self, workspace, capsys):
         _, dense, _ = workspace
@@ -214,6 +279,17 @@ class TestCoefficientFiles:
     def test_removed_mode_is_usage_error(self, workspace, mode):
         assert merge_with_coeffs(workspace, mode, None) == EXIT_USAGE
 
+    def test_expert_count_unlike_the_model_is_io_error(self, workspace, capsys):
+        obj = init_mixing_coefficients(8, 2, 0.75).to_json_obj()  # the model has 4 experts
+        assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
+        assert "expert count does not match" in capsys.readouterr().err
+
+    def test_row_of_wrong_length_is_io_error(self, workspace, capsys):
+        obj = coeffs_obj()
+        obj["logits"][1].append(0.0)
+        assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
+        assert "logit shape (4,) != (3,)" in capsys.readouterr().err
+
     def test_missing_logits_is_io_error(self, workspace):
         obj = coeffs_obj()
         del obj["logits"]
@@ -237,7 +313,7 @@ class TestPipelineCommands:
         assert run("upcycle", "--ckpt", dense, "--out", str(moe), "--seed", "5") == EXIT_OK
         cfg = read_checkpoint_config(str(moe))["moe"]
         assert cfg["n_experts"] == 8 and cfg["top_k"] == 6
-        assert cfg["normalization_enabled"] is True
+        assert cfg == MoEConfig().to_dict()  # the flags default to MoEConfig's fields
 
     def test_upcycle_is_deterministic_and_byte_identical(self, workspace):
         tmp_path, dense, _ = workspace
@@ -384,6 +460,41 @@ class TestPipelineCommands:
         run("upcycle", "--ckpt", dense, "--out", str(b), "--experts", "4", "--topk", "2")
         assert a.read_bytes() == b.read_bytes()
         assert read_checkpoint_config(str(a))["meta"]["seed"] == 41
+
+
+class TestDefaults:
+    """The CLI's defaults are the config dataclasses' defaults."""
+
+    @staticmethod
+    def defaults(cls) -> dict:
+        return {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+
+    def test_parser_defaults_are_dataclass_defaults(self):
+        parse = build_parser().parse_args
+        init = vars(parse(["init", "--out", "x"]))
+        model = self.defaults(ModelConfig)
+        assert (init["d_model"], init["layers"], init["heads"], init["d_ff"],
+                init["seq_len"]) == (model["d_model"], model["n_layers"], model["n_heads"],
+                                     model["d_ff"], model["max_seq_len"])
+        upcycle = vars(parse(["upcycle", "--ckpt", "a", "--out", "b"]))
+        moe = self.defaults(MoEConfig)
+        assert (upcycle["experts"], upcycle["topk"], upcycle["router_std"],
+                not upcycle["no_normalization"]) == (
+            moe["n_experts"], moe["top_k"], moe["router_init_std"], moe["normalization_enabled"])
+        for command in ("train-sft", "train-moe", "learn-merge"):
+            args = parse([command, "--ckpt", "a", "--out", "b", "--data", "c"])
+            assert args.batch_size == self.defaults(TrainHyper)["batch_size"]
+        schedule = next(a for a in subcommands()["train-moe"]._actions
+                        if a.dest == "ewa_schedule")
+        assert schedule.choices == EWA_SCHEDULES
+        assert self.defaults(EWAConfig)["schedule"] in EWA_SCHEDULES
+
+    def test_init_without_model_flags_writes_the_config_defaults(self, tmp_path):
+        out = tmp_path / "d.xftc"
+        assert run("init", "--out", str(out)) == EXIT_OK
+        cfg = ModelConfig(vocab_size=ByteTokenizer.vocab_size)
+        assert read_checkpoint_config(str(out))["model"] == cfg.to_dict()
 
 
 class TestVerifyCommand:

@@ -292,6 +292,14 @@ class TestCheckpointDirectory:
         with pytest.raises(CheckpointError, match="tensor 0 name is not UTF-8"):
             load_checkpoint(str(path))
 
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        path = tmp_path / "c.xftc"
+        raw = checkpoint_bytes(config, entries, data)
+        path.write_bytes(raw.replace(b"tok_emb\x00\x02", b"tok_emb\x07\x02", 1))
+        with pytest.raises(CheckpointError, match="'tok_emb' has unknown dtype code 7"):
+            load_checkpoint(str(path))
+
     def test_config_read_stops_after_header(self, tmp_path):
         model, config, entries, data = self.parts()
         path = str(tmp_path / "head.xftc")

@@ -315,6 +315,12 @@ class TestForwardPurity:
             b = model.logits(tokens).data.copy()
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_token_outside_vocab_rejected(self, bad):
+        model = build_dense_model(small_cfg(), seed=0)  # vocab 11
+        with pytest.raises(ValueError, match=r"token ids must lie in \[0, 11\)"):
+            model.logits([1, bad, 2])
+
 
 class TestFullModelGradients:
     def test_loss_gradients_match_finite_differences(self):
