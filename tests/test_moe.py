@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from xft import tensor as tn
 from xft.model import ModelConfig, build_dense_model, model_forward_loss
-from oracles import affinity_scores, reshape, route_shared_normalized, route_standard
+from oracles import (affinity_scores, moe_layer_composed, reshape, route_shared_normalized,
+                     route_standard)
 from xft.moe import MoEConfig, MoELayer, SHARED_EXPERT, upcycle_dense_to_moe
 from xft.model import FFNWeights, ffn_forward
 from xft.moe import RoutingRecord
@@ -282,6 +283,64 @@ def routed_inputs(draw):
     scale = draw(st.floats(0.1, 4.0))
     u = Tensor((scale * rng.normal(size=(draw(st.integers(1, 16)), 8))).astype(np.float32))
     return layer, u
+
+
+def layer_outputs_and_grads(layer: MoELayer, u: Tensor, seed: int) -> list:
+    """Output, gates and the gradients of u, the centroids and all 4N expert
+    tensors of one ``MoELayer.forward``, read out through seeded weights."""
+    params = [u, layer.centroids] + [t for e in layer.experts for t in e.tensors().values()]
+    for p in params:
+        p.grad = None
+    h, record = layer.forward(u)
+    readout = Tensor(np.random.default_rng(seed).normal(size=h.shape).astype(h.dtype))
+    tn.backward((h * readout).sum())
+    return [h.data, record.gates, record.selected] + [p.grad for p in params]
+
+
+class TestFusedLayer:
+    """``MoELayer.forward`` through the ``tn.expert_ffn`` node is bit for bit
+    the composed layer, router gradients included."""
+
+    @pytest.mark.parametrize("normalization", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows,n,k", [(1, 8, 6), (3, 8, 2), (23, 8, 6), (40, 4, 3)])
+    def test_output_and_every_gradient(self, rows, n, k, dtype, normalization, monkeypatch):
+        rng = np.random.default_rng(rows + n + k)
+        layer = random_layer(rng, n, k)
+        layer.cfg = MoEConfig(n, k, normalization_enabled=normalization)
+        for p in [layer.centroids] + [t for e in layer.experts for t in e.tensors().values()]:
+            p.data, p.requires_grad = p.data.astype(dtype), True
+        u = Tensor(rng.normal(size=(rows, 8)).astype(dtype), requires_grad=True)
+        fused = layer_outputs_and_grads(layer, u, seed=rows)
+        monkeypatch.setattr(tn, "expert_ffn", moe_layer_composed)
+        composed = layer_outputs_and_grads(layer, u, seed=rows)
+        for f, c in zip(fused, composed):
+            assert (f is None and c is None) or (f.dtype == c.dtype and np.array_equal(f, c))
+        idle = [e for e in range(n) if e not in fused[2]]  # experts that received no rows
+        assert [e for e in range(n) if fused[5 + 4 * e] is None] == idle
+        assert len(idle) >= (n - k if rows == 1 else 4 if rows == 3 else 0)
+
+    def test_packed_segments_give_identical_loss_gradients(self, monkeypatch):
+        cfg = small_cfg()
+        moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=8), MoEConfig(8, 6), seed=9)
+        rng = np.random.default_rng(10)
+        for p in moe.named_parameters().values():
+            p.data += rng.normal(scale=0.05, size=p.shape).astype(np.float32)
+        tokens = rng.integers(0, cfg.vocab_size, size=30)
+        mask = np.ones(30)
+        bounds = [0, 7, 9, 21, 30]
+
+        def run():
+            for p in moe.named_parameters().values():
+                p.grad = None
+            _, loss = model_forward_loss(moe, tokens, mask, bounds)
+            tn.backward(loss)
+            return [loss.data] + [p.grad for p in moe.named_parameters().values()]
+
+        fused = run()
+        monkeypatch.setattr(tn, "expert_ffn", moe_layer_composed)
+        for f, c in zip(fused, run()):
+            assert np.array_equal(f, c)
 
 
 class TestRoutingProperties:

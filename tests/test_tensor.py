@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, backward rules, finite-difference oracle."""
 
 import contextlib
+import itertools
 import zlib
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 
 from oracles import (
     add_bias,
-    expert_ffn_composed,
     ffn_composed,
     gelu_expressions,
     identity,
+    layer_norm_mean,
     linear_composed,
+    moe_layer_composed,
     reshape,
 )
 from xft import tensor as tn
@@ -165,15 +167,16 @@ def ffn_gelu(u, w_up, b_up, w_down, b_down):
     return tn.ffn(u, w_up, b_up, w_down, b_down, tn.gelu)
 
 
-def expert_op(sel, fn=tn.expert_ffn):
-    """fn(u, gates, sel, experts) over flat operands: u, gates, then each
-    expert's four weights."""
-    return lambda u, gates, *w: fn(u, gates, sel, [w[i:i + 4] for i in range(0, len(w), 4)])
+def expert_op(sel, fn=tn.expert_ffn, normalized=True):
+    """fn(u, scores, sel, experts, normalized)'s output over flat operands: u,
+    the normal experts' scores, then each expert's four weights, shared first."""
+    return lambda u, scores, *w: fn(u, scores, sel, [w[i:i + 4] for i in range(0, len(w), 4)],
+                                    normalized)[0]
 
 
-# 5 rows, 2 slots each over 3 experts that all receive rows
+# 5 rows, 2 slots each over 3 normal experts that all receive rows, and the shared one
 EXPERT_SEL = np.array([[0, 2], [1, 2], [2, 0], [0, 1], [2, 1]])
-EXPERT_SHAPES = [(5, 4), (5, 2)] + FFN_SHAPES[1:] * 3
+EXPERT_SHAPES = [(5, 4), (5, 3)] + [(4, 3), (3,), (3, 4), (4,)] * 4
 
 
 # (name, op over param tensors, param shapes); op output is read out through
@@ -188,6 +191,7 @@ OP_CASES = [
     ("linear", tn.linear, LINEAR_SHAPES),
     ("ffn", ffn_gelu, FFN_SHAPES),
     ("expert_ffn", expert_op(EXPERT_SEL), EXPERT_SHAPES),
+    ("expert_ffn.unnormalized", expert_op(EXPERT_SEL, normalized=False), EXPERT_SHAPES),
     ("transpose", lambda a: a.transpose(), [(3, 5)]),
     ("reshape", lambda a: reshape(a, (8, 3)), [(4, 6)]),
     ("gather_rows", lambda a: tn.gather_rows(a, [0, 2, 2, 5]), [(6, 3)]),
@@ -241,7 +245,7 @@ FROZEN_CASES = [
     ("ffn.frozen_up_weight", ffn_gelu, FFN_SHAPES, 1),
     ("ffn.frozen_down_bias", ffn_gelu, FFN_SHAPES, 4),
     ("expert_ffn.frozen_input", expert_op(EXPERT_SEL), EXPERT_SHAPES, 0),
-    ("expert_ffn.frozen_gates", expert_op(EXPERT_SEL), EXPERT_SHAPES, 1),
+    ("expert_ffn.frozen_scores", expert_op(EXPERT_SEL), EXPERT_SHAPES, 1),
     ("expert_ffn.frozen_up_weight", expert_op(EXPERT_SEL), EXPERT_SHAPES, 6),
     ("expert_ffn.frozen_down_bias", expert_op(EXPERT_SEL), EXPERT_SHAPES, 13),
 ]
@@ -350,59 +354,83 @@ class TestFusedDense:
         assert [g.shape for g in grads[3:]] == FFN_SHAPES[3:]
 
 
-def routed(rows, n_experts=7, k=5, seed=0):
-    """[rows, k] distinct experts per row, as the router picks them, and the
-    operand shapes of ``expert_ffn`` at d_model 16 and d_ff 40."""
-    sel = np.argsort(np.random.default_rng(seed).random((rows, n_experts)), axis=1)[:, :k]
-    return sel, [(rows, 16), (rows, k)] + [(16, 40), (40,), (40, 16), (16,)] * n_experts
+def routed(rows, n_normal=7, k=5, seed=0):
+    """[rows, k] distinct normal experts per row, top score first as the router
+    picks them, and the operand shapes of ``expert_ffn`` at d_model 16 and d_ff 40."""
+    sel = np.argsort(np.random.default_rng(seed).random((rows, n_normal)), axis=1)[:, :k]
+    return sel, [(rows, 16), (rows, n_normal)] + [(16, 40), (40,), (40, 16), (16,)] * (n_normal + 1)
 
 
 class TestExpertFFN:
-    """``expert_ffn`` is one node, bit for bit the composed dispatch."""
+    """``expert_ffn`` is one node, bit for bit the composed MoE layer after its router."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 33, 238])
     def test_matches_composed_ops(self, rows, dtype):
         sel, shapes = routed(rows, seed=rows)
-        fused = forward_and_grads(expert_op(sel), shapes, rows, dtype)
-        assert_bit_identical(fused, forward_and_grads(expert_op(sel, expert_ffn_composed),
-                                                      shapes, rows, dtype))
-        assert all(g is None or g.dtype == dtype for g in fused)
-        # a 1-row decode call runs k experts; the others get no gradient
-        idle = [e for e in range(7) if e not in sel]
-        assert [e for e in range(7) if fused[3 + 4 * e] is None] == idle
-        assert len(idle) == (2 if rows == 1 else 0)
+        for normalized in (True, False):
+            fused = forward_and_grads(expert_op(sel, normalized=normalized), shapes, rows, dtype)
+            assert_bit_identical(fused, forward_and_grads(
+                expert_op(sel, moe_layer_composed, normalized), shapes, rows, dtype))
+            assert all(g is None or g.dtype == dtype for g in fused)
+            # a 1-row decode call runs the shared and k normal experts; the others get no gradient
+            idle = [e for e in range(1, 8) if e - 1 not in sel]
+            assert [e for e in range(8) if fused[3 + 4 * e] is None] == idle
+            assert len(idle) == (2 if rows == 1 else 0)
 
     def test_expert_without_rows_gets_no_gradient(self):
-        sel = np.array([[0, 1], [1, 3], [3, 0], [0, 1]])  # expert 2 receives no rows
-        shapes = [(4, 16), (4, 2)] + [(16, 40), (40,), (40, 16), (16,)] * 4
+        sel = np.array([[0, 1], [1, 3], [3, 0], [0, 1]])  # normal expert 2 receives no rows
+        shapes = [(4, 16), (4, 4)] + [(16, 40), (40,), (40, 16), (16,)] * 5
         fused = forward_and_grads(expert_op(sel), shapes, 5)
-        assert_bit_identical(fused, forward_and_grads(expert_op(sel, expert_ffn_composed),
+        assert_bit_identical(fused, forward_and_grads(expert_op(sel, moe_layer_composed),
                                                       shapes, 5))
-        assert [i for i, g in enumerate(fused[1:]) if g is None] == [10, 11, 12, 13]
+        assert [i for i, g in enumerate(fused[1:]) if g is None] == [14, 15, 16, 17]
 
     def test_no_grad_records_no_graph(self):
-        sel, shapes = routed(1)
-        rng = np.random.default_rng(1)
-        operands = [tn.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-                    for s in shapes]
-        tracked = expert_op(sel)(*operands)
-        with tn.no_grad():
-            out = expert_op(sel)(*operands)
-        assert not out.requires_grad and out.is_leaf()
-        assert out.dtype == np.float32 and np.array_equal(out.data, tracked.data)
+        """Without a graph the node returns a leaf with the graph-mode and composed
+        bits, on the one-row gemv path and on the block path."""
+        for rows, dtype, normalized in itertools.product([1, 33, 238], [np.float32, np.float64],
+                                                         [True, False]):
+            sel, shapes = routed(rows, seed=rows)
+            rng = np.random.default_rng(1)
+            operands = [tn.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                        for s in shapes]
+            u, scores, experts = operands[0], operands[1], [
+                operands[i:i + 4] for i in range(2, len(operands), 4)]
+            tracked, tracked_gates = tn.expert_ffn(u, scores, sel, experts, normalized)
+            composed, composed_gates = moe_layer_composed(u, scores, sel, experts, normalized)
+            with tn.no_grad():
+                out, gates = tn.expert_ffn(u, scores, sel, experts, normalized)
+            assert not out.requires_grad and out.is_leaf() and out.dtype == dtype
+            assert np.array_equal(out.data, tracked.data)
+            assert np.array_equal(out.data, composed.data)
+            assert np.array_equal(gates, tracked_gates) and np.array_equal(gates, composed_gates)
+            assert gates.shape == (rows, 6)
 
-    @pytest.mark.parametrize("gate_shape,sel,match", [
-        ((5, 2), np.zeros((5, 3), dtype=int), "shape mismatch"),
-        ((4, 2), np.zeros((4, 2), dtype=int), "shape mismatch"),  # u has 5 rows
-        ((5, 2), np.minimum(EXPERT_SEL + 1, 3), "outside the 3 experts"),
-        ((5, 2), EXPERT_SEL - 1, "outside the 3 experts"),
-    ], ids=["sel_vs_gates", "sel_vs_rows", "index_3", "index_-1"])
-    def test_inconsistent_operands_rejected(self, gate_shape, sel, match):
-        shapes = [(5, 4), gate_shape] + EXPERT_SHAPES[2:]
+    @pytest.mark.parametrize("score_shape,sel,match", [
+        ((5, 2), np.zeros((5, 2), dtype=int), "shape mismatch"),  # 3 normal experts
+        ((4, 3), np.zeros((4, 2), dtype=int), "shape mismatch"),  # u has 5 rows
+        ((5, 3), np.minimum(EXPERT_SEL + 1, 3), "outside the 3 normal experts"),
+        ((5, 3), EXPERT_SEL - 1, "outside the 3 normal experts"),
+        ((5, 3), np.zeros((5, 4), dtype=int), "shape mismatch"),  # more slots than experts
+    ], ids=["scores_vs_experts", "sel_vs_rows", "index_3", "index_-1", "slots_vs_experts"])
+    def test_inconsistent_operands_rejected(self, score_shape, sel, match):
+        shapes = [(5, 4), score_shape] + EXPERT_SHAPES[2:]
         operands = [tn.Tensor(np.zeros(s)) for s in shapes]
         with pytest.raises(ValueError, match=match):
             expert_op(sel)(*operands)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_mean_form(self, dtype):
+        rng = np.random.default_rng(4)
+        for rows in (1, 2, 7, 64, 333, 2000):
+            for scale in (0.1, 1.0, 10.0):
+                x, gain, bias = (rng.normal(size=s).astype(dtype) * scale
+                                 for s in ((rows, 48), (48,), (48,)))
+                out = tn.layer_norm(tn.Tensor(x), tn.Tensor(gain), tn.Tensor(bias)).data
+                assert out.dtype == dtype and np.array_equal(out, layer_norm_mean(x, gain, bias))
 
 
 class TestNoGrad:
