@@ -10,12 +10,14 @@ Layout, all integers little-endian:
 
 The JSON blob carries the model configuration, the MoE configuration when
 present, and free-form metadata (phase, seed, shared rate), so a checkpoint
-is self-describing. Saves are atomic (temp file + rename) and byte-stable:
+is self-describing. An MoE layer's stacked experts are stored one entry per
+expert and weight. Saves are atomic (``atomic_write``) and byte-stable:
 identical models and metadata produce identical files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -37,39 +39,61 @@ class CheckpointError(Exception):
     pass
 
 
+def _file_entries(model: Transformer):
+    """(name, array view) of each of the model's entries in file order: an MoE layer's
+    experts one by one, as ``layers.i.moe.experts.e.key``."""
+    for name, p in model.named_parameters().items():
+        head, stacked, key = name.rpartition(".experts.")
+        if not stacked:
+            yield name, p.data
+        elif key == "w_up":  # the layer's first stacked tensor stands for all four
+            stacked = model.blocks[int(head.split(".")[1])].slot.weights.tensors().items()
+            yield from ((f"{head}.experts.{e}.{k}", t.data[e]) for e in range(len(p.data))
+                        for k, t in stacked)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """A temp file beside ``path``, open for writing, that replaces ``path`` when the
+    block completes; if the block raises, it is removed and ``path`` stays as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".xft-")
+    try:
+        os.umask(umask := os.umask(0))
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0600
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(model: Transformer, path: str, meta: dict | None = None) -> None:
-    params = model.named_parameters()
+    entries = list(_file_entries(model))
     moe_cfg = model.moe_cfg.to_dict() if model.is_moe else None
     config = {"model": model.cfg.to_dict(), "moe": moe_cfg, "meta": meta or {}}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     directory, offset = bytearray(), 0
-    for name, p in params.items():
-        if p.data.dtype != np.float32:
-            raise CheckpointError(f"parameter {name!r} is {p.data.dtype}, checkpoints hold float32")
-        if not np.isfinite(p.data).all():
+    for name, a in entries:
+        if a.dtype != np.float32:
+            raise CheckpointError(f"parameter {name!r} is {a.dtype}, checkpoints hold float32")
+        if not np.isfinite(a).all():
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
         encoded = name.encode("utf-8")
         directory += struct.pack("<Q", len(encoded)) + encoded
-        directory += struct.pack("<BB", DTYPE_FLOAT32, p.data.ndim)
-        directory += struct.pack(f"<{p.data.ndim}Q", *p.data.shape)
+        directory += struct.pack("<BB", DTYPE_FLOAT32, a.ndim)
+        directory += struct.pack(f"<{a.ndim}Q", *a.shape)
         directory += struct.pack("<Q", offset)
-        offset += p.data.nbytes
+        offset += a.nbytes
 
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                                   prefix=".ckpt-")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(blob)) + blob
-                        + struct.pack("<Q", len(params)) + bytes(directory)
-                        + struct.pack("<Q", offset))
-                for p in params.values():  # one tensor at a time: no copy of the whole file
-                    f.write(np.ascontiguousarray(p.data, dtype="<f4"))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with atomic_write(path, "wb") as f:
+            f.write(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(blob)) + blob
+                    + struct.pack("<Q", len(entries)) + bytes(directory)
+                    + struct.pack("<Q", offset))
+            for _, a in entries:  # one tensor at a time: no copy of the whole file
+                f.write(np.ascontiguousarray(a, dtype="<f4"))
     except OSError as e:
         raise CheckpointError(f"cannot write checkpoint {path!r}: {e}") from e
 
@@ -165,20 +189,20 @@ def load_checkpoint(path: str) -> Transformer:
         if start_b < end_a:
             raise CheckpointError(f"{path!r}: tensors {name_a!r} and {name_b!r} overlap")
 
-    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+    model = assemble(model_cfg, moe_cfg,
+                     lambda name, shape: Tensor(np.empty(shape, np.float32), requires_grad=True))
+    for name, out in _file_entries(model):  # fill the model's buffers from the file
         if name not in entries:
             raise CheckpointError(
                 f"{path!r}: tensor names do not match the declared architecture "
                 f"(missing {name!r})")
         dims, offset = entries.pop(name)
-        if dims != shape:
-            raise CheckpointError(f"{path!r}: tensor {name!r} has shape {dims}, expected {shape}")
-        arr = np.frombuffer(data, dtype="<f4", count=math.prod(dims), offset=offset)
-        if not np.isfinite(arr).all():
+        if dims != out.shape:
+            raise CheckpointError(
+                f"{path!r}: tensor {name!r} has shape {dims}, expected {out.shape}")
+        out[...] = np.frombuffer(data, dtype="<f4", count=out.size, offset=offset).reshape(dims)
+        if not np.isfinite(out).all():
             raise CheckpointError(f"{path!r}: tensor {name!r} holds non-finite values")
-        return Tensor(arr.reshape(dims).astype(np.float32, copy=True), requires_grad=True)
-
-    model = assemble(model_cfg, moe_cfg, tensor)
     if entries:
         raise CheckpointError(
             f"{path!r}: tensor names do not match the declared architecture "

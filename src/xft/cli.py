@@ -17,7 +17,7 @@ import numpy as np
 
 from xft import invariants as iv
 from xft.analysis import expert_load_histogram
-from xft.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from xft.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from xft.dataset import DatasetError, load_instruction_dataset
 from xft.merge import (
     DEFAULT_SHARED_RATE,
@@ -193,7 +193,7 @@ def _report_curve(args, curve, n_examples: int) -> None:
         chunk = curve[start:start + steps]
         print(f"epoch {start // steps}: mean loss {sum(chunk) / len(chunk):.4f}")
     if args.curve:
-        with open(args.curve, "w", encoding="utf-8") as f:
+        with atomic_write(args.curve) as f:
             json.dump(curve, f)
 
 
@@ -271,7 +271,7 @@ def cmd_learn_merge(args) -> int:
     hyper = _resolve_hyper(args, len(examples), args.epochs)
     coeffs, curve = learn_mixing_coefficients(
         model, examples, args.shared_rate, hyper, unconstrained=args.soup)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_write(args.out) as f:
         json.dump(coeffs.to_json_obj(), f, sort_keys=True)
         f.write("\n")
     _report_curve(args, curve, len(examples))
@@ -339,7 +339,7 @@ def cmd_route_stats(args) -> int:
     report = expert_load_histogram(model, sequences, corpus_label=os.path.basename(args.data))
     print(report.render())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             json.dump(report.to_json_obj(), f, sort_keys=True)
             f.write("\n")
         print(f"wrote routing report to {args.out}")

@@ -64,9 +64,8 @@ def gradient_check(cfg: ModelConfig, tokens, mask, seed: int,
     rng = np.random.default_rng(seed)
     drifted = upcycle_dense_to_moe(dense, MoEConfig(4, 3), seed=seed + 2)
     for block in drifted.blocks:
-        for expert in block.slot.experts:
-            for t in expert.tensors().values():
-                t.data += 0.1 * rng.normal(size=t.shape).astype(np.float32)
+        for t in block.slot.weights.tensors().values():
+            t.data += 0.1 * rng.normal(size=t.shape).astype(np.float32)
     coeffs = init_mixing_coefficients(4, cfg.n_layers, lam=0.6, dtype=np.float64)
     for t in coeffs.logits:
         t.data += rng.normal(scale=0.3, size=t.shape)
@@ -119,14 +118,13 @@ def ewa_closed_form_check(beta: float = EWA_DEFAULT_BETA, steps: int = 3) -> flo
     """Max error of ``steps`` EWA steps on two scalar experts {0, 1} against
     the closed form: each step shrinks every deviation from the (invariant)
     mean 1/2 by the factor 1 - beta."""
-    experts = [FFNWeights(Tensor(np.array([[v]], dtype=np.float32)),
-                          Tensor(np.zeros(1, dtype=np.float32)),
-                          Tensor(np.ones((1, 1), dtype=np.float32)),
-                          Tensor(np.zeros(1, dtype=np.float32)))
-               for v in (0.0, 1.0)]
+    experts = FFNWeights(Tensor(np.array([[[0.0]], [[1.0]]], dtype=np.float32)),
+                         Tensor(np.zeros((2, 1), dtype=np.float32)),
+                         Tensor(np.ones((2, 1, 1), dtype=np.float32)),
+                         Tensor(np.zeros((2, 1), dtype=np.float32)))
     layer = MoELayer(experts, Tensor(np.zeros((2, 1), dtype=np.float32)), MoEConfig(2, 2))
     for _ in range(steps):
         ewa_step(layer, beta)
     decay = (1.0 - beta) ** steps
-    got = np.array([float(e.w_up.data[0, 0]) for e in layer.experts])
+    got = layer.weights.w_up.data[:, 0, 0]
     return float(np.abs(got - [0.5 - 0.5 * decay, 0.5 + 0.5 * decay]).max())

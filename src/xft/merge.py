@@ -70,20 +70,14 @@ class MixingCoefficients:
             return sm
         return np.concatenate(([self.lam], sm * (1.0 - self.lam)))
 
-    def graph_alphas(self, layer: int) -> list:
-        """Per-expert coefficients for the differentiable merge.
-
-        Returns N entries aligned with expert indices; each is a size-1
-        gradient-tracked Tensor, except the pinned shared coefficient in
-        constrained mode, which is the plain float lam.
-        """
+    def graph_alphas(self, layer: int) -> Tensor:
+        """One layer's [N] mixing weights for the differentiable merge, shared
+        expert first; the pinned shared coefficient of constrained mode is a
+        constant."""
         sm = tn.softmax(self.logits[layer])
         if self.lam is None:
-            return [tn.gather_rows(sm, [i]) for i in range(self.n_experts)]
-        coefs: list = [self.lam]
-        for i in range(self.n_experts - 1):
-            coefs.append(tn.gather_rows(sm, [i]) * (1.0 - self.lam))
-        return coefs
+            return sm
+        return tn.concat([Tensor(np.array([self.lam], dtype=sm.dtype)), sm * (1.0 - self.lam)])
 
     def to_json_obj(self) -> dict:
         return {
@@ -115,8 +109,6 @@ def init_mixing_coefficients(n_experts: int, n_layers: int, lam: float,
                              unconstrained: bool = False,
                              dtype=np.float32) -> MixingCoefficients:
     """Uniform initialization: shared coefficient lam, normals (1-lam)/(N-1)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"shared rate must lie in [0, 1], got {lam}")
     if unconstrained:
         if not 0.0 < lam < 1.0:
             raise ValueError("unconstrained initialization needs 0 < shared rate < 1")
@@ -129,9 +121,9 @@ def init_mixing_coefficients(n_experts: int, n_layers: int, lam: float,
     return MixingCoefficients(logits, lam, n_experts)
 
 
-def _convex(alpha, n_experts: int) -> list[float]:
-    """``alpha`` as Python floats, checked to be n_experts finite,
-    non-negative coefficients that sum to 1."""
+def _convex(alpha, n_experts: int) -> np.ndarray:
+    """``alpha`` as float64, checked to be n_experts finite, non-negative
+    coefficients that sum to 1."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (n_experts,):
         raise ValueError(f"expected {n_experts} coefficients, got shape {alpha.shape}")
@@ -141,35 +133,28 @@ def _convex(alpha, n_experts: int) -> list[float]:
         raise ValueError(f"mixing coefficients must sum to 1, got {float(alpha.sum())}")
     if (alpha < 0).any():
         raise ValueError("mixing coefficients must be non-negative")
-    return alpha.tolist()
+    return alpha
 
 
-def _mix(experts: list[Tensor], coefs) -> Tensor:
-    """Sum of coefs[e] * experts[e]. The sum starts from 0, so a -0.0 weight
-    mixes to +0.0."""
-    return sum((t * c for t, c in zip(experts, coefs)), 0)
-
-
-def _merged(model: Transformer, coefs: list) -> Transformer:
-    """The dense model whose layer-i FFN tensors mix that layer's experts with
-    ``coefs[i]``. The MoE's buffers are read through frozen aliases, not
-    copies, so no gradient reaches the MoE model."""
+def _merged(model: Transformer, coefs: list[Tensor]) -> Transformer:
+    """The dense model whose layer-i FFN tensors mix that layer's stacked
+    experts with the [N] coefficients ``coefs[i]`` (``tn.mix``). The MoE's
+    buffers are read through frozen aliases, not copies, so no gradient
+    reaches the MoE model."""
     params = {name: Tensor(t.data) for name, t in model.named_parameters().items()}
-    n = model.moe_cfg.n_experts
 
     def tensor(name: str, shape) -> Tensor:
         layer, ffn, key = name.partition(".ffn.")
         if not ffn:
             return params[name]
-        experts = [params[f"{layer}.moe.experts.{e}.{key}"] for e in range(n)]
-        return _mix(experts, coefs[int(layer.split(".")[1])])
+        return tn.mix(params[f"{layer}.moe.experts.{key}"], coefs[int(layer.split(".")[1])])
 
     return assemble(model.cfg, None, tensor)
 
 
 def _merge_fixed(model: Transformer, alphas) -> Transformer:
     """A standalone dense model mixing layer i's experts with ``alphas[i]``."""
-    coefs = [_convex(a, _n_experts(model)) for a in alphas]
+    coefs = [Tensor(_convex(a, _n_experts(model)).astype(model.tok_emb.dtype)) for a in alphas]
     with tn.no_grad():
         return _merged(model, coefs).copy()
 
@@ -213,11 +198,8 @@ def ewa_step(layer: MoELayer, beta: float) -> None:
     """Blend every expert toward the uniform expert mean, in place."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    for key in ("w_up", "b_up", "w_down", "b_down"):
-        mean = np.mean([e.tensors()[key].data for e in layer.experts], axis=0)
-        for expert in layer.experts:
-            t = expert.tensors()[key]
-            t.data[...] = beta * mean + (1.0 - beta) * t.data
+    for t in layer.weights.tensors().values():
+        t.data[...] = beta * np.mean(t.data, axis=0) + (1.0 - beta) * t.data
 
 
 class _MergedTrainable:

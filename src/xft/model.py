@@ -77,7 +77,7 @@ class AttentionParams:
 
 @dataclass
 class FFNWeights:
-    """One feed-forward (expert) weight set: up-projection, GELU, down-projection."""
+    """Up-projection, GELU, down-projection; an MoE layer's N experts stack on a first axis."""
 
     w_up: Tensor    # [d_model, d_ff]
     b_up: Tensor    # [d_ff]
@@ -310,9 +310,9 @@ def assemble(cfg: ModelConfig, moe_cfg, tensor) -> Transformer:
     def ln(prefix):
         return LayerNormParams(tensor(f"{prefix}.gain", (d,)), tensor(f"{prefix}.bias", (d,)))
 
-    def ffn(prefix):
-        return FFNWeights(tensor(f"{prefix}.w_up", (d, f)), tensor(f"{prefix}.b_up", (f,)),
-                          tensor(f"{prefix}.w_down", (f, d)), tensor(f"{prefix}.b_down", (d,)))
+    def ffn(prefix, *n):  # n: the expert count, for stacked expert weights
+        shapes = {"w_up": (d, f), "b_up": (f,), "w_down": (f, d), "b_down": (d,)}
+        return FFNWeights(*(tensor(f"{prefix}.{k}", (*n, *s)) for k, s in shapes.items()))
 
     blocks = []
     for i in range(cfg.n_layers):
@@ -323,9 +323,9 @@ def assemble(cfg: ModelConfig, moe_cfg, tensor) -> Transformer:
         if moe_cfg is None:
             slot = ffn(f"{prefix}.ffn")
         else:
-            experts = [ffn(f"{prefix}.moe.experts.{e}") for e in range(moe_cfg.n_experts)]
-            slot = MoELayer(experts, tensor(f"{prefix}.moe.centroids", (moe_cfg.n_experts, d)),
-                            moe_cfg)
+            n = moe_cfg.n_experts
+            slot = MoELayer(ffn(f"{prefix}.moe.experts", n),
+                            tensor(f"{prefix}.moe.centroids", (n, d)), moe_cfg)
         blocks.append(Block(ln(f"{prefix}.ln1"), attn, slot))
     return Transformer(cfg, tensor("tok_emb", (cfg.vocab_size, d)),
                        tensor("pos_emb", (cfg.max_seq_len, d)), blocks, ln("ln_f"),

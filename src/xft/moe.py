@@ -64,22 +64,27 @@ class RoutingRecord:
 
 
 class MoELayer:
-    """N expert FFNs plus router centroids, replacing one dense FFN slot."""
+    """N expert FFNs, stacked, plus router centroids, replacing one dense FFN slot."""
 
-    def __init__(self, experts: list[FFNWeights], centroids: Tensor, cfg: MoEConfig):
-        if len(experts) != cfg.n_experts:
-            raise ValueError(f"expected {cfg.n_experts} experts, got {len(experts)}")
-        if centroids.shape != (cfg.n_experts, experts[0].w_up.shape[0]):
-            raise ValueError(f"centroid shape {centroids.shape} inconsistent with config")
-        self.experts = experts
+    def __init__(self, weights: FFNWeights, centroids: Tensor, cfg: MoEConfig):
+        n, (d, f) = cfg.n_experts, weights.w_up.shape[-2:]
+        shapes = [t.shape for t in weights.tensors().values()]
+        if shapes != [(n, d, f), (n, f), (n, f, d), (n, d)] or centroids.shape != (n, d):
+            raise ValueError(f"expert shapes {shapes}, centroids {centroids.shape}: not {n} experts")
+        self.weights = weights      # each [N, ...], expert 0 (shared) first
         self.centroids = centroids  # [N, d_model]; row 0 (shared) takes no part in routing
         self.cfg = cfg
 
+    @property
+    def experts(self) -> tuple[FFNWeights, ...]:
+        """Per-expert views of the stacked weights: writing their data writes the layer's."""
+        return tuple(FFNWeights(*(Tensor(t.data[e]) for t in self.weights.tensors().values()))
+                     for e in range(self.cfg.n_experts))
+
     def named_tensors(self):
         yield "centroids", self.centroids
-        for i, expert in enumerate(self.experts):
-            for name, tensor in expert.tensors().items():
-                yield f"experts.{i}.{name}", tensor
+        for name, tensor in self.weights.tensors().items():
+            yield f"experts.{name}", tensor
 
     def normal_affinities(self, u: Tensor) -> Tensor:
         """Softmax affinities of the normal experts, [T, N-1], gradient-tracked."""
@@ -91,14 +96,14 @@ class MoELayer:
         ``tn.expert_ffn`` node after the router), and the call's ``RoutingRecord``."""
         scores = self.normal_affinities(u)        # [T, N-1]
         sel = np.argsort(-scores.data, axis=1, kind="stable")[:, :self.cfg.top_k - 1]
-        experts = [(e.w_up, e.b_up, e.w_down, e.b_down) for e in self.experts]
-        h, gates = tn.expert_ffn(u, scores, sel, experts, self.cfg.normalization_enabled)
+        h, gates = tn.expert_ffn(u, scores, sel, *self.weights.tensors().values(),
+                                 self.cfg.normalization_enabled)
         selected = np.concatenate((np.full((u.shape[0], 1), SHARED_EXPERT), sel + 1), axis=1)
         return h, RoutingRecord(selected, gates, scores.data)
 
 
 def upcycle_dense_to_moe(dense: Transformer, cfg: MoEConfig, seed: int = 0) -> Transformer:
-    """Replace every FFN slot with an MoE layer of N identical expert copies.
+    """Replace every FFN slot with an MoE layer whose N experts copy that FFN.
 
     All non-slot parameters are copied verbatim; router centroids are drawn
     from N(0, router_init_std) under ``seed``.
@@ -111,9 +116,8 @@ def upcycle_dense_to_moe(dense: Transformer, cfg: MoEConfig, seed: int = 0) -> T
     def tensor(name: str, shape) -> Tensor:
         if name.endswith(".centroids"):
             data = rng.normal(0.0, cfg.router_init_std, size=shape).astype(np.float32)
-        else:  # layers.i.moe.experts.e.k copies layers.i.ffn.k
-            layer, expert, key = name.partition(".moe.experts.")
-            data = params[f"{layer}.ffn.{key.split('.')[1]}" if expert else name].data.copy()
+        else:  # layers.i.moe.experts.k repeats layers.i.ffn.k
+            data = np.broadcast_to(params[name.replace("moe.experts", "ffn")].data, shape).copy()
         return Tensor(data, requires_grad=True)
 
     return assemble(dense.cfg, cfg, tensor)

@@ -5,15 +5,15 @@ used by the finite-difference oracle). Every differentiable operation records
 its inputs and a backward rule; ``backward`` replays the recorded graph in
 reverse topological order and accumulates gradients into the leaves.
 
-Broadcasting is deliberately limited to the cases the transformer needs:
-scalar and size-1 scaling, and per-row column scaling. Anything else raises.
+Broadcasting is deliberately limited to what the transformer needs: scaling
+by a Python scalar. Anything else raises.
 
 Dense layers are fused nodes: ``linear`` is x @ w + b and ``ffn`` is
 activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
 rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
 op of its input, such as ``gelu``: the node replays that op's backward.
-``expert_ffn`` is an MoE layer after its router as one node: the gates, the
-shared and the selected experts, the combine and the residual.
+``expert_ffn`` is an MoE layer after its router as one node, over stacked
+[N, ...] expert weights; ``mix`` is the merge's convex mix of a stacked tensor.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -104,9 +101,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(self, other)
-
-    def __rsub__(self, other):
-        return rsub(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -201,47 +195,20 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def rsub(c, a: Tensor) -> Tensor:
-    """c - a for a Python scalar c (used for complement gates like 1 - s)."""
-    if not _is_scalar_number(c):
-        raise TypeError(f"cannot subtract Tensor from {type(c).__name__}")
-    return _make(float(c) - a.data, (a,), lambda g: (-g,))
-
-
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """a * b for a Python scalar b or a tensor b of a's shape."""
     if _is_scalar_number(b):
         c = float(b)
         return _make(a.data * c, (a,), lambda g: (g * c,))
     if not isinstance(b, Tensor):
         raise TypeError(f"cannot multiply Tensor and {type(b).__name__}")
-    if a.shape == b.shape:
-        return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-    # size-1 tensor scaling an arbitrary tensor
-    if a.size == 1 or b.size == 1:
-        s, m = (a, b) if a.size == 1 else (b, a)
-        s_scalar = s.data.reshape(())
-
-        def bw_scalar(g, s=s, m=m, s_scalar=s_scalar):
-            gs = (g * m.data).sum().reshape(s.shape).astype(g.dtype) if s.requires_grad else None
-            gm = g * s_scalar if m.requires_grad else None
-            return (gs, gm) if s is a else (gm, gs)
-
-        return _make(m.data * s_scalar, (a, b), bw_scalar)
-    # per-row column scaling: [T, 1] against [T, n]
-    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == b.shape[0] and 1 in (a.shape[1], b.shape[1]):
-        col, m = (a, b) if a.shape[1] == 1 else (b, a)
-
-        def bw_col(g, col=col, m=m):
-            gc = (g * m.data).sum(axis=1, keepdims=True) if col.requires_grad else None
-            gm = g * col.data if m.requires_grad else None
-            return (gc, gm) if col is a else (gm, gc)
-
-        return _make(col.data * m.data, (a, b), bw_col)
-    raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -258,12 +225,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), bw)
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b, the bias added in place to the fresh product."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ValueError(f"affine shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    y = x @ w.data
-    y += b.data
+    y = x @ w
+    y += b
     return y
 
 
@@ -277,7 +244,7 @@ def _affine_grads(g: np.ndarray, x: np.ndarray, need_x: bool, w: Tensor, b: Tens
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: a matrix [N, n], weights [n, m], a bias [m]."""
-    return _make(_affine(x.data, w, b), (x, w, b),
+    return _make(_affine(x.data, w.data, b.data), (x, w, b),
                  lambda g: _affine_grads(g, x.data, x.requires_grad, w, b))
 
 
@@ -289,7 +256,7 @@ def _ffn(x: np.ndarray, need_x: bool, w_up: Tensor, b_up: Tensor, w_down: Tensor
     activation's recorded backward, so the activation must be a single tensor
     op of its input; it is recorded even under ``no_grad``, so that holds there."""
     global _GRAD_ENABLED
-    pre = Tensor(_affine(x, w_up, b_up), requires_grad=True)
+    pre = Tensor(_affine(x, w_up.data, b_up.data), requires_grad=True)
     recording, _GRAD_ENABLED = _GRAD_ENABLED, True
     try:
         act = activation(pre)
@@ -305,7 +272,7 @@ def _ffn(x: np.ndarray, need_x: bool, w_up: Tensor, b_up: Tensor, w_down: Tensor
             return None, None, None, gw_down, gb_down
         return (*_affine_grads(act._backward_fn(ga)[0], x, need_x, w_up, b_up), gw_down, gb_down)
 
-    return _affine(act.data, w_down, b_down), bw
+    return _affine(act.data, w_down.data, b_down.data), bw
 
 
 def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
@@ -316,33 +283,36 @@ def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
     return _make(out, (u, w_up, b_up, w_down, b_down), bw)
 
 
-def expert_ffn(u: Tensor, scores: Tensor, sel, experts: Sequence[Sequence[Tensor]],
-               normalized: bool) -> tuple[Tensor, np.ndarray]:
+def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_down: Tensor,
+               b_down: Tensor, normalized: bool) -> tuple[Tensor, np.ndarray]:
     """An MoE layer after its router, as one node: (h, gates).
 
     ``scores`` [T, N-1] are the normal experts' affinities and ``sel`` [T, r]
     the normal experts each token uses (expert - 1), the top affinity first;
-    ``experts`` holds all N experts' (w_up, b_up, w_down, b_down), the shared
-    expert first. With s_max = scores[t, sel[t, 0]], the gates are
-    softmax(picked) * s_max over the picked scores (the raw scores when not
-    ``normalized``), the shared expert's is 1 - s_max, and
+    ``w_up`` [N, d, f], ``b_up`` [N, f], ``w_down`` [N, f, d] and ``b_down``
+    [N, d] stack all N experts' weights, the shared expert first. With s_max =
+    scores[t, sel[t, 0]], the gates are softmax(picked) * s_max over the picked
+    scores (the raw scores when not ``normalized``), the shared expert's is
+    1 - s_max, and
 
         h = u + (1 - s_max) FFN_0(u) + sum over j of gates[t, j] FFN_{1 + sel[t, j]}(u).
 
     Each FFN is ``ffn`` with ``gelu``, looked up when called. The (token, slot)
     pairs are stably sorted by expert, each expert runs once on its contiguous
     block of rows, and each token's gated outputs are summed back. ``gates``
-    [T, 1 + r] lists the shared gate first. An expert that receives no rows
-    gets no gradient. Without a graph to record, the node builds no Tensor but
+    [T, 1 + r] lists the shared gate first. An expert without rows gets a zero
+    gradient slice. Without a graph to record, the node builds no Tensor but
     its output: each block runs ``_ffn``'s arithmetic with ``gelu``'s forward
     ``_gelu_tanh``, and a one-row call runs each expert as gemv calls around
     one GELU over all of them."""
     sel = np.asarray(sel, dtype=np.intp)
-    n = len(experts) - 1
+    weights = (w_up, b_up, w_down, b_down)
+    n = w_up.shape[0] - 1
     if (u.ndim != 2 or sel.ndim != 2 or scores.shape != (u.shape[0], n)
-            or sel.shape[0] != u.shape[0] or not 1 <= sel.shape[1] <= n):
+            or sel.shape[0] != u.shape[0] or not 1 <= sel.shape[1] <= n
+            or any(w.shape[0] != n + 1 for w in weights)):
         raise ValueError(f"expert_ffn shape mismatch: u {u.shape}, scores {scores.shape}, "
-                         f"sel {sel.shape}, {len(experts)} experts")
+                         f"sel {sel.shape}, experts {[w.shape for w in weights]}")
     if sel.min() < 0 or sel.max() >= n:
         raise ValueError(f"expert_ffn index outside the {n} normal experts")
     t, r = sel.shape
@@ -358,15 +328,15 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, experts: Sequence[Sequence[Tensor
     else:
         normal_gates = picked
     gates = np.concatenate((shared_gate, normal_gates), axis=1)
-    parents = (u, scores, *(w for expert in experts for w in expert)) if _GRAD_ENABLED else ()
+    parents = (u, scores, *weights) if _GRAD_ENABLED else ()
     recording = any(p.requires_grad for p in parents)
     if t == 1 and not recording:  # gemvs, one GELU: a one-row layer took 189 us, 316 in blocks
-        used = [experts[0]] + [experts[e + 1] for e in sel[0].tolist()]
-        pre = np.concatenate([u.data @ w_up.data for w_up, _, _, _ in used])
-        pre += np.concatenate([b_up.data for _, b_up, _, _ in used]).reshape(pre.shape)
+        used = [0, *(sel[0] + 1).tolist()]
+        pre = np.concatenate([u.data @ w_up.data[e] for e in used])
+        pre += b_up.data[used]
         act = _gelu_tanh(pre)[0]
-        out = np.concatenate([act[i:i + 1] @ w_down.data for i, (_, _, w_down, _) in enumerate(used)])
-        out += np.concatenate([b_down.data for _, _, _, b_down in used]).reshape(out.shape)
+        out = np.concatenate([act[i:i + 1] @ w_down.data[e] for i, e in enumerate(used)])
+        out += b_down.data[used]
         out[1:] *= normal_gates.T
         h = u.data + shared_gate * out[:1]
         h += out[1:].reshape(1, r, -1).sum(axis=1)  # the slots' sum, as ``_slot_sum`` adds them
@@ -376,16 +346,15 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, experts: Sequence[Sequence[Tensor
     blocks = [(e + 1, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
     rows = u.data[order // r]
     gate_rows = normal_gates.reshape(-1, 1)[order]
-    if recording:
-        y0, shared_bw = _ffn(u.data, u.requires_grad, *experts[0], gelu)
-        outs, rules = zip(*(_ffn(rows[lo:hi], u.requires_grad, *experts[e], gelu)
-                            for e, lo, hi in blocks))  # each block's output and backward rule
-        outs = np.concatenate(outs, axis=0)
+    runs = [(0, u.data)] + [(e, rows[lo:hi]) for e, lo, hi in blocks]  # (expert, its rows)
+    if recording:  # each expert through _ffn on views of its weights, with a backward rule
+        outs, rules = zip(*(_ffn(x, u.requires_grad, *(Tensor(w.data[e], w.requires_grad)
+                                                      for w in weights), gelu) for e, x in runs))
+        y0, outs = outs[0], np.concatenate(outs[1:], axis=0)
         routed = gate_rows * outs
     else:  # no recorded GELU: serve's eval chunk took 3.2 ms, 3.9 ms through _ffn
-        y0, *routed = (_affine(_gelu_tanh(_affine(x, w_up, b_up))[0], w_down, b_down)
-                       for (w_up, b_up, w_down, b_down), x in [(experts[0], u.data)] + [
-                           (experts[e], rows[lo:hi]) for e, lo, hi in blocks])
+        y0, *routed = (_affine(_gelu_tanh(_affine(x, w_up.data[e], b_up.data[e]))[0],
+                               w_down.data[e], b_down.data[e]) for e, x in runs)
         routed = np.concatenate(routed)
         routed *= gate_rows
     h = u.data + shared_gate * y0
@@ -394,20 +363,23 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, experts: Sequence[Sequence[Tensor
         return Tensor(h), gates
 
     def bw(g):
-        expert_grads = [(None,) * 4] * len(experts)
-        gx0, *expert_grads[0] = shared_bw(g * shared_gate)
         gs = g[order // r]
         gg = (_slot_sum((gs * outs).sum(axis=1, keepdims=True), order, 1).reshape(sel.shape)
               if scores.requires_grad else None)
         gs *= gate_rows
-        grows = np.empty_like(rows)
-        for (e, lo, hi), block_bw in zip(blocks, rules):
-            gx, *expert_grads[e] = block_bw(gs[lo:hi])
-            if u.requires_grad:
-                grows[lo:hi] = gx
-        gu = (g + gx0) + _slot_sum(grows, order, r) if u.requires_grad else None
+        grads = [np.zeros_like(w.data) if w.requires_grad else None for w in weights]
+        gxs = []
+        for (e, _), rule, g_run in zip(runs, rules, [g * shared_gate] + [
+                gs[lo:hi] for _, lo, hi in blocks]):
+            gx, *expert_grads = rule(g_run)
+            gxs.append(gx)
+            for buf, gw in zip(grads, expert_grads):
+                if buf is not None:
+                    buf[e] = gw  # an expert without rows keeps a zero slice
+        gu = ((g + gxs[0]) + _slot_sum(np.concatenate(gxs[1:]), order, r)
+              if u.requires_grad else None)
         g_scores = None
-        if scores.requires_grad:  # the mul, rsub and softmax rules, then both gathers' scatters
+        if scores.requires_grad:  # the gate product, 1 - s_max and softmax rules, both scatters
             g_smax = -(g * y0).sum(axis=1, keepdims=True)
             if normalized:
                 g_soft = gg * s_max
@@ -416,9 +388,29 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, experts: Sequence[Sequence[Tensor
             g_scores = np.zeros_like(scores.data)
             np.add.at(g_scores, (token, sel), gg)
             np.add.at(g_scores, (token, sel[:, :1]), g_smax)
-        return (gu, g_scores, *(gw for grads in expert_grads for gw in grads))
+        return (gu, g_scores, *grads)
 
     return _make(h, parents, bw), gates
+
+
+def mix(stacked: Tensor, coefs: Tensor) -> Tensor:
+    """sum over e of coefs[e] * stacked[e] as one node, for stacked [N, ...] and
+    coefs [N] of its dtype; the terms add in order from +0, so -0.0 mixes to +0.0."""
+    if coefs.shape != stacked.shape[:1]:
+        raise ValueError(f"mix shape mismatch: {stacked.shape} with coefficients {coefs.shape}")
+    # expert by expert, one slice product at a time: np.add.reduce over the first
+    # axis pairs some shapes' terms, and an [N, ...] product raised serve's peak RSS
+    out = sum(map(np.multiply, stacked.data, coefs.data), 0.0)
+    c = coefs.data.reshape(-1, *(1,) * (stacked.ndim - 1))
+    return _make(out, (stacked, coefs), lambda g: (
+        g * c if stacked.requires_grad else None,
+        (stacked.data * g).reshape(len(c), -1).sum(axis=1) if coefs.requires_grad else None))
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """The tensors joined along their first axis."""
+    ends = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _make(np.concatenate([p.data for p in parts]), tuple(parts), lambda g: np.split(g, ends))
 
 
 def transpose(a: Tensor) -> Tensor:

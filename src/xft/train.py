@@ -97,7 +97,7 @@ class AdamW:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if p.data.ndim >= 2:
+            if p.data.ndim - (".moe.experts." in name) >= 2:  # stacked: N matrices or N biases
                 update = update + WEIGHT_DECAY * p.data
             p.data -= lr * update
 

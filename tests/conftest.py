@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from xft.model import ModelConfig, build_dense_model
+from xft.model import FFNWeights, ModelConfig, build_dense_model
 from xft.moe import MoEConfig, upcycle_dense_to_moe
+from xft.tensor import Tensor
 from xft.train import InstructionExample
 
 
@@ -21,6 +22,12 @@ def make_smoke_corpus(n: int, seed: int) -> list[InstructionExample]:
                   "flip": noun[::-1]}[verb]
         out.append(InstructionExample(f"{verb} the word {noun} with {other}", answer))
     return out
+
+
+def stack_experts(experts) -> FFNWeights:
+    """One ``FFNWeights`` whose tensors stack the N given experts' along a first axis."""
+    return FFNWeights(*(Tensor(np.stack([e.tensors()[k].data for e in experts]))
+                        for k in experts[0].tensors()))
 
 
 def tiny_moe(w_ups):

@@ -1,13 +1,15 @@
 """Reference paths the fast ones are checked against: per-token routers for
 ``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
-key/value cache, the composed expressions that ``tn.linear``, ``tn.ffn`` and
-``tn.expert_ffn`` compute as one node each (the last as the MoE layer's graph
-ops after its router, with the routed experts' composed dispatch), with the
-bias add and row ops they are built from, the ``reshape`` and ``identity``
-ops the tests use, layer normalization with ``.mean``, and GELU as
-whole-array expressions, which ``tn.gelu`` evaluates in place. The system
-itself never calls these."""
+key/value cache, the composed expressions that ``tn.linear``, ``tn.ffn``,
+``tn.expert_ffn`` and ``tn.mix`` compute as one node each (``expert_ffn`` as
+the MoE layer's graph ops after its router, with the routed experts' composed
+dispatch; ``mix`` as the learned merge's per-expert products and sums), with
+the bias add, broadcast products, complement, row and slice ops they are
+built from, the ``reshape`` and ``identity`` ops the tests use, layer
+normalization with ``.mean``, GELU as whole-array expressions, which
+``tn.gelu`` evaluates in place, and the checkpoint's per-expert parameter
+names. The system itself never calls these."""
 
 import math
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xft import tensor as tn
+from xft.model import FFNWeights
 from xft.moe import SHARED_EXPERT, MoELayer
 from xft.tensor import Tensor
 
@@ -126,6 +129,39 @@ def add_bias(a, b):
                     lambda g: (g, tn._sum_to_last_axis(g) if b.requires_grad else None))
 
 
+def rsub(c: float, a):
+    """c - a for a Python scalar c, such as the shared gate 1 - s_max."""
+    return tn._make(float(c) - a.data, (a,), lambda g: (-g,))
+
+
+def bmul(a, b):
+    """a * b with the broadcasts only the composed forms use: a size-1 tensor
+    scaling any tensor, and a [T, 1] column scaling the rows of a [T, n]
+    matrix. Python scalars and equal shapes are ``tn.mul``."""
+    if not isinstance(b, tn.Tensor) or a.shape == b.shape:
+        return tn.mul(a, b)
+    if a.size == 1 or b.size == 1:
+        s, m = (a, b) if a.size == 1 else (b, a)
+        s_scalar = s.data.reshape(())
+
+        def bw_scalar(g):
+            gs = (g * m.data).sum().reshape(s.shape).astype(g.dtype) if s.requires_grad else None
+            gm = g * s_scalar if m.requires_grad else None
+            return (gs, gm) if s is a else (gm, gs)
+
+        return tn._make(m.data * s_scalar, (a, b), bw_scalar)
+    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == b.shape[0] and 1 in (a.shape[1], b.shape[1]):
+        col, m = (a, b) if a.shape[1] == 1 else (b, a)
+
+        def bw_col(g):
+            gc = (g * m.data).sum(axis=1, keepdims=True) if col.requires_grad else None
+            gm = g * col.data if m.requires_grad else None
+            return (gc, gm) if col is a else (gm, gc)
+
+        return tn._make(col.data * m.data, (a, b), bw_col)
+    raise ValueError(f"bmul shape mismatch: {a.shape} * {b.shape}")
+
+
 def reshape(a, shape):
     """``a`` with its elements in row-major order laid out as ``shape``."""
     return tn._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
@@ -207,7 +243,7 @@ def expert_ffn_composed(u, gates, sel, experts):
     gate_rows = dispatch_rows(reshape(gates, (t * k, 1)), order, 1)
     outputs = [tn.ffn(slice_rows(rows, lo, hi), *experts[e], tn.gelu)
                for e, (lo, hi) in enumerate(zip(ends - counts, ends)) if hi > lo]
-    return combine_rows(concat_rows(outputs) * gate_rows, order, k)
+    return combine_rows(bmul(concat_rows(outputs), gate_rows), order, k)
 
 
 def layer_norm_mean(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -227,15 +263,72 @@ def gelu_expressions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, dy
 
 
-def moe_layer_composed(u, scores, sel, experts, normalized):
+def take(a, e: int):
+    """Entry ``e`` along the first axis of a stacked [N, ...] tensor, as a node."""
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[e] = g
+        return (ga,)
+
+    return tn._make(a.data[e], (a,), bw)
+
+
+def expert_weights(weights, e: int) -> FFNWeights:
+    """Expert ``e`` of a layer's stacked ``FFNWeights``, as ``take`` nodes, so
+    gradients reach the stacked tensors."""
+    return FFNWeights(*(take(t, e) for t in weights.tensors().values()))
+
+
+def per_expert_parameters(model):
+    """(name, tensor) of every parameter in the checkpoint's file order: an MoE
+    layer's experts one by one, named ``layers.i.moe.experts.e.key``, each
+    tensor a view into the layer's stacked arrays."""
+    yield from (("tok_emb", model.tok_emb), ("pos_emb", model.pos_emb))
+    for i, block in enumerate(model.blocks):
+        prefix = f"layers.{i}"
+        yield from ((f"{prefix}.ln1.{k}", t) for k, t in vars(block.ln1).items())
+        yield from ((f"{prefix}.attn.{k}", t) for k, t in vars(block.attn).items())
+        if isinstance(block.slot, FFNWeights):
+            yield from ((f"{prefix}.ffn.{k}", t) for k, t in block.slot.tensors().items())
+            continue
+        yield f"{prefix}.moe.centroids", block.slot.centroids
+        for e, expert in enumerate(block.slot.experts):
+            yield from ((f"{prefix}.moe.experts.{e}.{k}", t) for k, t in expert.tensors().items())
+    yield from (("ln_f.gain", model.ln_f.gain), ("ln_f.bias", model.ln_f.bias),
+                ("unembed", model.unembed))
+
+
+def moe_layer_composed(u, scores, sel, w_up, b_up, w_down, b_down, normalized):
     """``tn.expert_ffn`` as the graph ops it replaces: the top affinity and the
-    selected ones gathered from ``scores``, the gates, the shared expert's
-    ``tn.ffn`` scaled by 1 - s_max, ``expert_ffn_composed`` over the normal
-    experts and the residual. Returns (h, gates) as the node does."""
+    selected ones gathered from ``scores``, each expert's weights taken from the
+    stacked ones, the gates, the shared expert's ``tn.ffn`` scaled by 1 - s_max,
+    ``expert_ffn_composed`` over the normal experts and the residual. Returns
+    (h, gates) as the node does."""
+    stacked = FFNWeights(w_up, b_up, w_down, b_down)
+    experts = [list(expert_weights(stacked, e).tensors().values())
+               for e in range(w_up.shape[0])]
     s_max = tn.take_along_rows(scores, sel[:, :1])
-    shared_gate = 1.0 - s_max
+    shared_gate = rsub(1.0, s_max)
     picked = tn.take_along_rows(scores, sel)
-    normal_gates = tn.softmax(picked) * s_max if normalized else picked
-    h = u + tn.ffn(u, *experts[SHARED_EXPERT], tn.gelu) * shared_gate
+    normal_gates = bmul(tn.softmax(picked), s_max) if normalized else picked
+    h = u + bmul(tn.ffn(u, *experts[SHARED_EXPERT], tn.gelu), shared_gate)
     h = h + expert_ffn_composed(u, normal_gates, sel, experts[1:])
     return h, np.concatenate((shared_gate.data, normal_gates.data), axis=1)
+
+
+def graph_alphas_composed(coeffs, layer: int) -> list:
+    """``MixingCoefficients.graph_alphas`` as one entry per expert: a size-1
+    gradient-tracked gather of the softmax each, times 1 - lam in constrained
+    mode, where the shared expert's entry is the plain float lam."""
+    sm = tn.softmax(coeffs.logits[layer])
+    if coeffs.lam is None:
+        return [tn.gather_rows(sm, [i]) for i in range(coeffs.n_experts)]
+    return [coeffs.lam] + [tn.gather_rows(sm, [i]) * (1.0 - coeffs.lam)
+                           for i in range(coeffs.n_experts - 1)]
+
+
+def mix_composed(stacked, coefs):
+    """``tn.mix`` as one product and one sum per expert: sum of coefs[e] *
+    stacked[e] for float or size-1 Tensor coefficients. The sum starts from 0,
+    so a -0.0 term mixes to +0.0."""
+    return sum((bmul(take(stacked, e), c) for e, c in enumerate(coefs)), 0)

@@ -67,10 +67,9 @@ class TestExpertLoadHistogram:
         perm = np.array([2, 0, 3, 1])  # relabeling of the 4 normal experts
         permuted = model.copy()
         for block, orig_block in zip(permuted.blocks, model.blocks):
-            experts = block.slot.experts
-            orig = orig_block.slot.experts
-            for new_slot, old_slot in enumerate(perm):
-                experts[new_slot + 1] = orig[old_slot + 1]
+            for t, orig in zip(block.slot.weights.tensors().values(),
+                               orig_block.slot.weights.tensors().values()):
+                t.data[1:] = orig.data[1:][perm]
             cent = block.slot.centroids.data
             cent[1:] = orig_block.slot.centroids.data[1:][perm]
         moved = expert_load_histogram(permuted, stream).counts

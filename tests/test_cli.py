@@ -213,6 +213,40 @@ class TestIOErrors:
         assert "missing" in capsys.readouterr().err
         assert not curve.exists()
 
+    @pytest.mark.parametrize("command, target", [
+        ("learn-merge", "OUT"), ("train-sft", "CURVE"), ("learn-merge", "CURVE"),
+        ("route-stats", "OUT")])
+    def test_json_write_failing_midway_keeps_the_previous_file(self, workspace, capsys,
+                                                               monkeypatch, command, target):
+        # a dump that has written part of its text and then fails leaves the
+        # target as it was, and no temp file beside it
+        tmp_path, dense, data = workspace
+        ckpt = dense
+        if command != "train-sft":
+            ckpt = str(tmp_path / "moe.xftc")
+            run("upcycle", "--ckpt", dense, "--out", ckpt, "--experts", "4", "--topk", "3")
+        paths = {"OUT": tmp_path / "out.json", "CURVE": tmp_path / "curve.json"}
+        paths[target].write_text("previous contents\n", encoding="utf-8")
+        argv = ["--ckpt", ckpt, "--data", data, "--out", str(paths["OUT"])]
+        if command != "route-stats":
+            argv += ["--epochs", "1", "--batch-size", "4", "--curve", str(paths["CURVE"])]
+        if command == "train-sft":
+            argv[5] = str(tmp_path / "sft.xftc")
+        real_dump, calls = json.dump, []
+
+        def dump(obj, f, **kwargs):
+            calls.append(obj)
+            if len(calls) == (2 if command == "learn-merge" and target == "CURVE" else 1):
+                f.write('{"partial": ')
+                raise OSError(28, "No space left on device")
+            real_dump(obj, f, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump)
+        assert run(command, *argv) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert paths[target].read_text(encoding="utf-8") == "previous contents\n"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
     def test_init_into_missing_directory_is_io_error(self, tmp_path, capsys):
         assert run("init", "--out", str(tmp_path / "missing" / "d.xftc")) == EXIT_IO
         assert "cannot write checkpoint" in capsys.readouterr().err
@@ -389,7 +423,9 @@ class TestPipelineCommands:
         assert run("merge", "--ckpt", str(moe), "--out", str(out), "--lambda", "1.0") == EXIT_OK
         params = model.named_parameters()
         for name, t in load_checkpoint(str(out)).named_parameters().items():
-            assert np.array_equal(t.data, params[name.replace(".ffn.", ".moe.experts.0.")].data)
+            layer, ffn, key = name.partition(".ffn.")
+            shared = params[f"{layer}.moe.experts.{key}"].data[0] if ffn else params[name].data
+            assert np.array_equal(t.data, shared)
 
     def test_merge_does_not_mutate_input_checkpoint(self, workspace):
         tmp_path, dense, _ = workspace

@@ -1,7 +1,9 @@
 """Checkpoint round trips, format validation, and dataset parsing."""
 
 import dataclasses
+import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -10,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_expert_parameters
 from xft import tensor as tn
 from xft.checkpoint import (
     MAGIC,
     CheckpointError,
+    atomic_write,
     load_checkpoint,
     read_checkpoint_config,
     save_checkpoint,
@@ -58,23 +62,47 @@ class TestCheckpointRoundTrip:
 
     def test_file_bytes_follow_the_layout(self, tmp_path):
         # magic, version, config blob, the tensor directory, then every tensor's
-        # little-endian float32 bytes in directory order
+        # little-endian float32 bytes in directory order; an MoE layer's experts
+        # are one entry per expert and weight, expert by expert
         moe = upcycle_dense_to_moe(build_dense_model(small_cfg(), seed=4),
                                    MoEConfig(n_experts=4, top_k=3), seed=5)
+        for t in moe.named_parameters().values():  # distinct experts
+            t.data += np.linspace(-1.0, 1.0, t.size, dtype=np.float32).reshape(t.shape)
         path = tmp_path / "moe.xftc"
         save_checkpoint(moe, str(path), meta={"phase": "upcycled"})
         blob = json.dumps({"model": moe.cfg.to_dict(), "moe": moe.moe_cfg.to_dict(),
                            "meta": {"phase": "upcycled"}},
                           sort_keys=True, separators=(",", ":")).encode("utf-8")
+        entries = list(per_expert_parameters(moe))
+        assert [name for name, _ in entries[11:16]] == [
+            "layers.0.attn.bo", "layers.0.moe.centroids", "layers.0.moe.experts.0.w_up",
+            "layers.0.moe.experts.0.b_up", "layers.0.moe.experts.0.w_down"]
+        assert entries[17][0] == "layers.0.moe.experts.1.w_up" and entries[17][1].shape == (16, 20)
+        assert len(entries) == 2 + 2 * (11 + 4 * 4) + 3
         directory, data = b"", b""
-        for name, p in moe.named_parameters().items():
+        for name, p in entries:
             directory += struct.pack("<Q", len(name)) + name.encode("utf-8")
             directory += struct.pack(f"<BB{p.ndim}QQ", 0, p.ndim, *p.shape, len(data))
             data += p.data.astype("<f4").tobytes()
         expected = (MAGIC + struct.pack("<IQ", 1, len(blob)) + blob
-                    + struct.pack("<Q", len(moe.named_parameters())) + directory
+                    + struct.pack("<Q", len(entries)) + directory
                     + struct.pack("<Q", len(data)) + data)
         assert path.read_bytes() == expected
+
+    # written before the MoE layer stacked its experts (``tests/data``): a tiny
+    # upcycled MoE whose experts were perturbed one by one, one weight -0.0
+    PINNED_FILE = Path(__file__).parent / "data" / "upcycled_perturbed.xftc"
+    PINNED_SHA256 = "ea516d915f78de62dc6831850413de66a0a21c99edc5846554259050278b4d1d"
+
+    def test_file_from_the_per_expert_layout_resaves_byte_identically(self, tmp_path):
+        raw = self.PINNED_FILE.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED_SHA256
+        model = load_checkpoint(str(self.PINNED_FILE))
+        assert model.blocks[1].slot.weights.b_down.data.shape == (3, 4)
+        assert np.signbit(model.blocks[1].slot.weights.b_down.data[2, 1])
+        path = tmp_path / "again.xftc"
+        save_checkpoint(model, str(path), meta=read_checkpoint_config(str(self.PINNED_FILE))["meta"])
+        assert path.read_bytes() == raw
 
     def test_repeated_save_byte_identical(self, tmp_path):
         model = build_dense_model(small_cfg(), seed=7)
@@ -102,6 +130,17 @@ class TestCheckpointRoundTrip:
         assert not path.exists()
         assert not list(tmp_path.iterdir())
 
+    def test_written_files_take_the_mode_open_would_give(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            save_checkpoint(build_dense_model(small_cfg(), seed=0), str(tmp_path / "m.xftc"))
+            with atomic_write(str(tmp_path / "c.json")) as f:
+                f.write("{}\n")
+        finally:
+            os.umask(umask)
+        assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {
+            "m.xftc": 0o640, "c.json": 0o640}
+
     def test_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "m.xftc")
         save_checkpoint(build_dense_model(small_cfg(), seed=0), path,
@@ -117,6 +156,19 @@ class TestCheckpointRoundTrip:
         path = str(tmp_path / "desk.xftc")
         save_checkpoint(model, path)
         assert len(load_checkpoint(path).named_parameters()) == 33
+
+    def test_desk_scale_moe_tensor_count(self, tmp_path):
+        # 33 dense tensors, each layer's 4 FFN tensors replaced by the centroids
+        # and 4 stacked expert tensors: 35; the file holds 4 entries per expert
+        moe = upcycle_dense_to_moe(build_dense_model(desk_cfg(), seed=0), MoEConfig(), seed=1)
+        assert len(moe.named_parameters()) == 35
+        assert moe.named_parameters()["layers.1.moe.experts.w_down"].shape == (8, 256, 64)
+        path = str(tmp_path / "desk-moe.xftc")
+        save_checkpoint(moe, path)
+        raw = Path(path).read_bytes()
+        (blob_length,) = struct.unpack_from("<Q", raw, 8)
+        assert struct.unpack_from("<Q", raw, 16 + blob_length) == (2 + 2 * (2 + 8 + 1 + 4 * 8) + 3,)
+        assert len(load_checkpoint(path).named_parameters()) == 35
 
     def test_cross_load_preserves_init_equivalence(self, tmp_path):
         cfg = small_cfg()
@@ -216,7 +268,7 @@ class TestCheckpointDirectory:
         config = {"model": model.cfg.to_dict(), "moe": model.blocks[0].slot.cfg.to_dict(),
                   "meta": {}}
         entries, data = [], b""
-        for name, p in model.named_parameters().items():
+        for name, p in per_expert_parameters(model):
             entries.append((name, p.shape, len(data)))
             data += p.data.astype("<f4").tobytes()
         return model, config, entries, data
@@ -256,6 +308,29 @@ class TestCheckpointDirectory:
         with pytest.raises(CheckpointError, match="missing 'layers.1.moe.experts.2.b_up'"):
             self.load(tmp_path, config,
                       [e for e in entries if e[0] != "layers.1.moe.experts.2.b_up"], data)
+
+    def test_duplicate_expert_entry_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        dup = next(e for e in entries if e[0] == "layers.0.moe.experts.3.w_down")
+        with pytest.raises(CheckpointError, match="'layers.0.moe.experts.3.w_down' appears twice"):
+            self.load(tmp_path, config, entries + [dup], data)
+
+    def test_misshaped_expert_entry_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        i = next(i for i, e in enumerate(entries) if e[0] == "layers.1.moe.experts.2.w_up")
+        entries[i] = (entries[i][0], (20, 16), entries[i][2])
+        with pytest.raises(CheckpointError,
+                           match=r"'layers.1.moe.experts.2.w_up' has shape \(20, 16\), "
+                                 r"expected \(16, 20\)"):
+            self.load(tmp_path, config, entries, data)
+
+    def test_non_finite_expert_entry_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        _, _, offset = next(e for e in entries if e[0] == "layers.1.moe.experts.3.b_up")
+        bad = np.frombuffer(data, dtype="<f4").copy()
+        bad[offset // 4 + 7] = np.nan
+        with pytest.raises(CheckpointError, match="'layers.1.moe.experts.3.b_up' holds non-finite"):
+            self.load(tmp_path, config, entries, bad.tobytes())
 
     def test_unexpected_tensor_rejected(self, tmp_path):
         _, config, entries, data = self.parts()

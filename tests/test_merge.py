@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_moe
+from oracles import graph_alphas_composed, mix_composed
 from xft import tensor as tn
 from xft.merge import (
     EWAConfig,
@@ -46,6 +47,47 @@ def tiny_corpus(n=12) -> list[InstructionExample]:
         InstructionExample(f"say {words[i % 4]} {i}", f"{words[i % 4]} {words[(i + 1) % 4]}")
         for i in range(n)
     ]
+
+
+class TestMixNode:
+    """``tn.mix`` is bit for bit the per-expert products and sums from +0 that
+    the merge composed before it, coefficient gradients included."""
+
+    SHAPES = [(5, 6, 7), (5, 7), (5, 7, 6), (5, 6)]  # one layer's stacked expert tensors
+
+    def stacked(self, rng, dtype):
+        tensors = [Tensor(rng.normal(size=s).astype(dtype)) for s in self.SHAPES]
+        for t in tensors:  # every expert's first entry is -0.0: it mixes to +0.0
+            t.data.reshape(5, -1)[:, 0] = -0.0
+        return tensors
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fixed_coefficients(self, dtype):
+        rng = np.random.default_rng(0)
+        for alpha in (rng.dirichlet(np.ones(5)), np.eye(5)[3], np.full(5, 0.2)):
+            for t in self.stacked(rng, dtype):
+                got = tn.mix(t, Tensor(alpha.astype(dtype))).data
+                want = mix_composed(t, alpha.tolist()).data
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+                assert not np.signbit(got.reshape(-1)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lam", [0.75, None], ids=["xft", "soup"])
+    def test_learned_coefficients_and_their_gradients(self, dtype, lam):
+        rng = np.random.default_rng(1)
+        tensors = self.stacked(rng, dtype)
+        readouts = [Tensor(rng.normal(size=t.shape[1:]).astype(dtype)) for t in tensors]
+        logits = Tensor(rng.normal(size=5 if lam is None else 4).astype(dtype), requires_grad=True)
+        coeffs = MixingCoefficients([logits], lam, 5)
+        results = []
+        for mix, alphas in ((tn.mix, coeffs.graph_alphas),
+                            (mix_composed, lambda layer: graph_alphas_composed(coeffs, layer))):
+            c = alphas(0)
+            mixed = [mix(t, c) for t in tensors]
+            logits.grad = None
+            tn.backward(sum(((m * r).sum() for m, r in zip(mixed, readouts)), 0))
+            results.append([m.data.tobytes() for m in mixed] + [logits.grad.tobytes()])
+        assert results[0] == results[1]
 
 
 class TestMergeFixed:
@@ -91,7 +133,7 @@ class TestMergeFixed:
         params = moe.named_parameters()
         base = _merge_fixed(moe, alphas).named_parameters()
         bounds = {name: 1e-6 * abs(c) * max(
-                      np.abs(params[name.replace(".ffn.", f".moe.experts.{e}.")].data).max()
+                      np.abs(params[name.replace(".ffn.", ".moe.experts.")].data[e]).max()
                       for e in range(4))
                   for name in base if ".ffn." in name}
         for name, t in params.items():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xft import tensor as tn
-from oracles import concat_rows, generate_uncached, identity, slice_rows
+from oracles import concat_rows, generate_uncached, identity, per_expert_parameters, slice_rows
 from xft.model import (
     FFNWeights,
     KVCache,
@@ -511,8 +511,9 @@ class TestSeededConstructorBytes:
 
     @staticmethod
     def digest(model) -> str:
+        """Over the per-expert names and shapes the digests were recorded with."""
         h = hashlib.sha256()
-        for name, t in model.named_parameters().items():
+        for name, t in per_expert_parameters(model):
             h.update(f"{name}{t.shape}{t.data.dtype}".encode())
             h.update(t.data.tobytes())
         return h.hexdigest()

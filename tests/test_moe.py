@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from xft import tensor as tn
 from xft.model import ModelConfig, build_dense_model, model_forward_loss
-from oracles import (affinity_scores, moe_layer_composed, reshape, route_shared_normalized,
-                     route_standard)
+from conftest import stack_experts
+from oracles import (affinity_scores, bmul, expert_weights, moe_layer_composed, reshape,
+                     route_shared_normalized, route_standard, rsub)
 from xft.moe import MoEConfig, MoELayer, SHARED_EXPERT, upcycle_dense_to_moe
 from xft.model import FFNWeights, ffn_forward
+from xft.checkpoint import load_checkpoint, save_checkpoint
 from xft.moe import RoutingRecord
 from xft.tensor import Tensor
 
@@ -37,7 +39,7 @@ def scalar_moe_layer(expert_maps, centroids, top_k, normalization=True) -> MoELa
     """d_model=1 MoE layer; expert i computes u -> gelu(expert_maps[i] * u)."""
     cfg = MoEConfig(n_experts=len(expert_maps), top_k=top_k,
                     normalization_enabled=normalization)
-    experts = [scalar_ffn(m, 1.0) for m in expert_maps]
+    experts = stack_experts([scalar_ffn(m, 1.0) for m in expert_maps])
     return MoELayer(experts, Tensor(np.asarray(centroids, dtype=np.float32)), cfg)
 
 
@@ -209,21 +211,22 @@ class TestMoELayerForward:
 def per_expert_forward(layer: MoELayer, u: Tensor) -> Tensor:
     """Reference for the grouped dispatch: the shared expert on every token,
     then one gather, expert call and gated scatter-add per normal expert.
-    The scatter is a product with a 0/1 placement matrix."""
+    The scatter is a product with a 0/1 placement matrix. Each expert's
+    weights are taken from the stacked ones as graph nodes."""
     t, r = u.shape[0], layer.cfg.top_k - 1
     scores = layer.normal_affinities(u)
     ranked = np.argsort(-scores.data, axis=1, kind="stable")
     sel = ranked[:, :r]
     s_max = tn.take_along_rows(scores, ranked[:, :1])
-    normal_gates = tn.softmax(tn.take_along_rows(scores, sel)) * s_max
-    h = u + ffn_forward(u, layer.experts[SHARED_EXPERT]) * (1.0 - s_max)
+    normal_gates = bmul(tn.softmax(tn.take_along_rows(scores, sel)), s_max)
+    h = u + bmul(ffn_forward(u, expert_weights(layer.weights, SHARED_EXPERT)), rsub(1.0, s_max))
     gates_flat = reshape(normal_gates, (t * r, 1))
     for e in range(1, layer.cfg.n_experts):
         rows, slots = np.nonzero(sel == e - 1)
         if rows.size == 0:
             continue
         gate_col = tn.gather_rows(gates_flat, rows * r + slots)
-        out = ffn_forward(tn.gather_rows(u, rows), layer.experts[e]) * gate_col
+        out = bmul(ffn_forward(tn.gather_rows(u, rows), expert_weights(layer.weights, e)), gate_col)
         place = Tensor(np.eye(t, dtype=u.data.dtype)[:, rows].copy())
         h = h + place @ out
     return h
@@ -253,7 +256,7 @@ class TestGroupedDispatch:
 
     def test_gradients_match_per_expert_loop(self):
         layer, u = self.layer_and_input(8, 6, np.float64, seed=3)
-        params = [u, layer.centroids] + [t for e in layer.experts for t in e.tensors().values()]
+        params = [u, layer.centroids, *layer.weights.tensors().values()]
         readout = Tensor(np.random.default_rng(4).normal(size=u.shape))
         grads = []
         for forward in (lambda: layer.forward(u)[0], lambda: per_expert_forward(layer, u)):
@@ -268,8 +271,8 @@ class TestGroupedDispatch:
 def random_layer(rng, n: int, k: int, d: int = 8, d_ff: int = 12) -> MoELayer:
     """MoE layer with independent random experts and centroids."""
     shapes = ((d, d_ff), (d_ff,), (d_ff, d), (d,))
-    experts = [FFNWeights(*(Tensor(rng.normal(scale=0.3, size=s).astype(np.float32))
-                            for s in shapes)) for _ in range(n)]
+    experts = stack_experts([FFNWeights(*(Tensor(rng.normal(scale=0.3, size=s).astype(np.float32))
+                                          for s in shapes)) for _ in range(n)])
     return MoELayer(experts, Tensor(rng.normal(size=(n, d)).astype(np.float32)), MoEConfig(n, k))
 
 
@@ -286,9 +289,9 @@ def routed_inputs(draw):
 
 
 def layer_outputs_and_grads(layer: MoELayer, u: Tensor, seed: int) -> list:
-    """Output, gates and the gradients of u, the centroids and all 4N expert
-    tensors of one ``MoELayer.forward``, read out through seeded weights."""
-    params = [u, layer.centroids] + [t for e in layer.experts for t in e.tensors().values()]
+    """Output, gates and the gradients of u, the centroids and the 4 stacked
+    expert tensors of one ``MoELayer.forward``, read out through seeded weights."""
+    params = [u, layer.centroids, *layer.weights.tensors().values()]
     for p in params:
         p.grad = None
     h, record = layer.forward(u)
@@ -308,7 +311,7 @@ class TestFusedLayer:
         rng = np.random.default_rng(rows + n + k)
         layer = random_layer(rng, n, k)
         layer.cfg = MoEConfig(n, k, normalization_enabled=normalization)
-        for p in [layer.centroids] + [t for e in layer.experts for t in e.tensors().values()]:
+        for p in [layer.centroids, *layer.weights.tensors().values()]:
             p.data, p.requires_grad = p.data.astype(dtype), True
         u = Tensor(rng.normal(size=(rows, 8)).astype(dtype), requires_grad=True)
         fused = layer_outputs_and_grads(layer, u, seed=rows)
@@ -317,7 +320,7 @@ class TestFusedLayer:
         for f, c in zip(fused, composed):
             assert (f is None and c is None) or (f.dtype == c.dtype and np.array_equal(f, c))
         idle = [e for e in range(n) if e not in fused[2]]  # experts that received no rows
-        assert [e for e in range(n) if fused[5 + 4 * e] is None] == idle
+        assert [e for e in range(n) if not any(g[e].any() for g in fused[5:])] == idle
         assert len(idle) >= (n - k if rows == 1 else 4 if rows == 3 else 0)
 
     def test_packed_segments_give_identical_loss_gradients(self, monkeypatch):
@@ -371,7 +374,8 @@ class TestRoutingProperties:
         perm = list(range(n - 1))
         random.shuffle(perm)
         order = [SHARED_EXPERT] + [1 + p for p in perm]  # new expert j is old expert order[j]
-        permuted = MoELayer([layer.experts[e] for e in order],
+        permuted = MoELayer(FFNWeights(*(Tensor(t.data[order])
+                                         for t in layer.weights.tensors().values())),
                             Tensor(layer.centroids.data[order]), layer.cfg)
         with tn.no_grad():
             h, record = layer.forward(u)
@@ -476,6 +480,41 @@ class TestUpcycle:
         moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=0), MoEConfig(4, 2), seed=0)
         with pytest.raises(ValueError, match="dense"):
             upcycle_dense_to_moe(moe, MoEConfig(4, 2), seed=0)
+
+
+class TestExpertViews:
+    """``MoELayer.experts`` views the stacked weights: an in-place change to an
+    expert's tensors, as the benchmark's drift makes, is a change to the layer."""
+
+    def test_in_place_add_reaches_the_weights_the_output_and_the_file(self, tmp_path):
+        cfg = small_cfg()
+        moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=1), MoEConfig(4, 3), seed=2)
+        layer = moe.blocks[0].slot
+        before = {k: t.data.copy() for k, t in layer.weights.tensors().items()}
+        u = Tensor(np.random.default_rng(3).normal(size=(9, cfg.d_model)).astype(np.float32))
+        with tn.no_grad():
+            h_before = layer.forward(u)[0].data
+        save_checkpoint(moe, str(tmp_path / "before.xftc"))
+        rng = np.random.default_rng(4)
+        for i, expert in enumerate(layer.experts[1:], start=1):
+            for t in expert.tensors().values():
+                t.data += rng.normal(0.0, 0.1 * i, t.shape).astype(t.data.dtype)
+        for key, t in layer.weights.tensors().items():
+            assert np.array_equal(t.data[0], before[key][0])
+            assert all((t.data[e] != before[key][e]).any() for e in range(1, 4))
+        with tn.no_grad():
+            assert not np.allclose(layer.forward(u)[0].data, h_before)
+        path = tmp_path / "after.xftc"
+        save_checkpoint(moe, str(path))
+        assert path.read_bytes() != (tmp_path / "before.xftc").read_bytes()
+        loaded = load_checkpoint(str(path)).blocks[0].slot.weights
+        assert all(np.array_equal(loaded.tensors()[k].data, t.data)
+                   for k, t in layer.weights.tensors().items())
+
+    def test_the_view_list_is_read_only(self):
+        layer = upcycle_dense_to_moe(build_dense_model(small_cfg()), MoEConfig(4, 3)).blocks[0].slot
+        with pytest.raises(TypeError):
+            layer.experts[1] = layer.experts[2]
 
 
 class TestMoEGradients:

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     add_bias,
+    bmul,
     ffn_composed,
     gelu_expressions,
     identity,
@@ -16,6 +17,7 @@ from oracles import (
     linear_composed,
     moe_layer_composed,
     reshape,
+    rsub,
 )
 from xft import tensor as tn
 
@@ -168,30 +170,33 @@ def ffn_gelu(u, w_up, b_up, w_down, b_down):
 
 
 def expert_op(sel, fn=tn.expert_ffn, normalized=True):
-    """fn(u, scores, sel, experts, normalized)'s output over flat operands: u,
-    the normal experts' scores, then each expert's four weights, shared first."""
-    return lambda u, scores, *w: fn(u, scores, sel, [w[i:i + 4] for i in range(0, len(w), 4)],
-                                    normalized)[0]
+    """fn(u, scores, sel, w_up, b_up, w_down, b_down, normalized)'s output over
+    its tensor operands: u, the normal experts' scores, then the four stacked
+    expert weights, the shared expert first."""
+    return lambda u, scores, *w: fn(u, scores, sel, *w, normalized)[0]
 
 
 # 5 rows, 2 slots each over 3 normal experts that all receive rows, and the shared one
 EXPERT_SEL = np.array([[0, 2], [1, 2], [2, 0], [0, 1], [2, 1]])
-EXPERT_SHAPES = [(5, 4), (5, 3)] + [(4, 3), (3,), (3, 4), (4,)] * 4
+EXPERT_SHAPES = [(5, 4), (5, 3), (4, 4, 3), (4, 3), (4, 3, 4), (4, 4)]
+MIX_SHAPES = [(4, 3, 5), (4,)]
 
 
 # (name, op over param tensors, param shapes); op output is read out through
 # a fixed random weighting so every element carries a distinct gradient.
 OP_CASES = [
     ("add.same", lambda a, b: a + b, [(3, 5), (3, 5)]),
-    ("rsub", lambda a: 1.0 - a, [(3, 2)]),
+    ("rsub", lambda a: rsub(1.0, a), [(3, 2)]),
     ("mul.same", lambda a, b: a * b, [(3, 4), (3, 4)]),
-    ("mul.scalar_tensor", lambda s, m: s * m, [(1, 1), (4, 3)]),
-    ("mul.column", lambda c, m: c * m, [(5, 1), (5, 4)]),
+    ("mul.scalar_tensor", bmul, [(1, 1), (4, 3)]),
+    ("mul.column", bmul, [(5, 1), (5, 4)]),
     ("matmul", lambda a, b: a @ b, [(3, 4), (4, 2)]),
     ("linear", tn.linear, LINEAR_SHAPES),
     ("ffn", ffn_gelu, FFN_SHAPES),
     ("expert_ffn", expert_op(EXPERT_SEL), EXPERT_SHAPES),
     ("expert_ffn.unnormalized", expert_op(EXPERT_SEL, normalized=False), EXPERT_SHAPES),
+    ("mix", tn.mix, MIX_SHAPES),
+    ("concat", lambda a, b: tn.concat([a, b]), [(2, 3), (4, 3)]),
     ("transpose", lambda a: a.transpose(), [(3, 5)]),
     ("reshape", lambda a: reshape(a, (8, 3)), [(4, 6)]),
     ("gather_rows", lambda a: tn.gather_rows(a, [0, 2, 2, 5]), [(6, 3)]),
@@ -233,11 +238,11 @@ class TestGradientsAllOps:
 # (name, op, shapes, frozen operand): broadcasting ops whose backward rule
 # reduces or scales the incoming gradient for that operand
 FROZEN_CASES = [
-    ("mul.scalar_tensor", lambda a, b: a * b, [(1, 1), (4, 3)], 0),
-    ("mul.scalar_tensor.frozen_tensor", lambda a, b: a * b, [(1, 1), (4, 3)], 1),
-    ("mul.tensor_scalar", lambda a, b: a * b, [(4, 3), (1,)], 1),
-    ("mul.column", lambda a, b: a * b, [(5, 1), (5, 4)], 0),
-    ("mul.column.frozen_matrix", lambda a, b: a * b, [(5, 1), (5, 4)], 1),
+    ("mul.scalar_tensor", bmul, [(1, 1), (4, 3)], 0),
+    ("mul.scalar_tensor.frozen_tensor", bmul, [(1, 1), (4, 3)], 1),
+    ("mul.tensor_scalar", bmul, [(4, 3), (1,)], 1),
+    ("mul.column", bmul, [(5, 1), (5, 4)], 0),
+    ("mul.column.frozen_matrix", bmul, [(5, 1), (5, 4)], 1),
     ("linear.frozen_input", tn.linear, LINEAR_SHAPES, 0),
     ("linear.frozen_weight", tn.linear, LINEAR_SHAPES, 1),
     ("linear.frozen_bias", tn.linear, LINEAR_SHAPES, 2),
@@ -246,8 +251,10 @@ FROZEN_CASES = [
     ("ffn.frozen_down_bias", ffn_gelu, FFN_SHAPES, 4),
     ("expert_ffn.frozen_input", expert_op(EXPERT_SEL), EXPERT_SHAPES, 0),
     ("expert_ffn.frozen_scores", expert_op(EXPERT_SEL), EXPERT_SHAPES, 1),
-    ("expert_ffn.frozen_up_weight", expert_op(EXPERT_SEL), EXPERT_SHAPES, 6),
-    ("expert_ffn.frozen_down_bias", expert_op(EXPERT_SEL), EXPERT_SHAPES, 13),
+    ("expert_ffn.frozen_up_weight", expert_op(EXPERT_SEL), EXPERT_SHAPES, 2),
+    ("expert_ffn.frozen_down_bias", expert_op(EXPERT_SEL), EXPERT_SHAPES, 5),
+    ("mix.frozen_stacked", tn.mix, MIX_SHAPES, 0),
+    ("mix.frozen_coefficients", tn.mix, MIX_SHAPES, 1),
 ]
 
 
@@ -329,7 +336,7 @@ class TestFusedDense:
         with tn.no_grad():
             outs = ffn_gelu(*operands), tn.linear(*operands[:3])
         for out in outs:
-            assert not out.requires_grad and out.is_leaf()
+            assert not out.requires_grad and out._parents == ()
         assert np.array_equal(outs[0].data, tracked.data)
         assert tn.grad_enabled()
 
@@ -358,7 +365,8 @@ def routed(rows, n_normal=7, k=5, seed=0):
     """[rows, k] distinct normal experts per row, top score first as the router
     picks them, and the operand shapes of ``expert_ffn`` at d_model 16 and d_ff 40."""
     sel = np.argsort(np.random.default_rng(seed).random((rows, n_normal)), axis=1)[:, :k]
-    return sel, [(rows, 16), (rows, n_normal)] + [(16, 40), (40,), (40, 16), (16,)] * (n_normal + 1)
+    n = n_normal + 1
+    return sel, [(rows, 16), (rows, n_normal), (n, 16, 40), (n, 40), (n, 40, 16), (n, 16)]
 
 
 class TestExpertFFN:
@@ -373,18 +381,19 @@ class TestExpertFFN:
             assert_bit_identical(fused, forward_and_grads(
                 expert_op(sel, moe_layer_composed, normalized), shapes, rows, dtype))
             assert all(g is None or g.dtype == dtype for g in fused)
-            # a 1-row decode call runs the shared and k normal experts; the others get no gradient
+            # a 1-row decode call runs the shared and k normal experts; the others'
+            # gradient slices are exactly 0
             idle = [e for e in range(1, 8) if e - 1 not in sel]
-            assert [e for e in range(8) if fused[3 + 4 * e] is None] == idle
+            assert [e for e in range(8) if not any(g[e].any() for g in fused[3:])] == idle
             assert len(idle) == (2 if rows == 1 else 0)
 
     def test_expert_without_rows_gets_no_gradient(self):
         sel = np.array([[0, 1], [1, 3], [3, 0], [0, 1]])  # normal expert 2 receives no rows
-        shapes = [(4, 16), (4, 4)] + [(16, 40), (40,), (40, 16), (16,)] * 5
+        shapes = [(4, 16), (4, 4), (5, 16, 40), (5, 40), (5, 40, 16), (5, 16)]
         fused = forward_and_grads(expert_op(sel), shapes, 5)
         assert_bit_identical(fused, forward_and_grads(expert_op(sel, moe_layer_composed),
                                                       shapes, 5))
-        assert [i for i, g in enumerate(fused[1:]) if g is None] == [14, 15, 16, 17]
+        assert [e for e in range(5) if not any(g[e].any() for g in fused[3:])] == [3]
 
     def test_no_grad_records_no_graph(self):
         """Without a graph the node returns a leaf with the graph-mode and composed
@@ -395,13 +404,12 @@ class TestExpertFFN:
             rng = np.random.default_rng(1)
             operands = [tn.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
                         for s in shapes]
-            u, scores, experts = operands[0], operands[1], [
-                operands[i:i + 4] for i in range(2, len(operands), 4)]
-            tracked, tracked_gates = tn.expert_ffn(u, scores, sel, experts, normalized)
-            composed, composed_gates = moe_layer_composed(u, scores, sel, experts, normalized)
+            u, scores, weights = operands[0], operands[1], operands[2:]
+            tracked, tracked_gates = tn.expert_ffn(u, scores, sel, *weights, normalized)
+            composed, composed_gates = moe_layer_composed(u, scores, sel, *weights, normalized)
             with tn.no_grad():
-                out, gates = tn.expert_ffn(u, scores, sel, experts, normalized)
-            assert not out.requires_grad and out.is_leaf() and out.dtype == dtype
+                out, gates = tn.expert_ffn(u, scores, sel, *weights, normalized)
+            assert not out.requires_grad and out._parents == () and out.dtype == dtype
             assert np.array_equal(out.data, tracked.data)
             assert np.array_equal(out.data, composed.data)
             assert np.array_equal(gates, tracked_gates) and np.array_equal(gates, composed_gates)
@@ -419,6 +427,12 @@ class TestExpertFFN:
         operands = [tn.Tensor(np.zeros(s)) for s in shapes]
         with pytest.raises(ValueError, match=match):
             expert_op(sel)(*operands)
+
+
+    def test_stacked_weights_of_another_expert_count_rejected(self):
+        shapes = EXPERT_SHAPES[:-1] + [(3, 4)]  # b_down stacks 3 experts, the rest 4
+        with pytest.raises(ValueError, match="shape mismatch"):
+            expert_op(EXPERT_SEL)(*[tn.Tensor(np.zeros(s)) for s in shapes])
 
 
 class TestLayerNorm:
@@ -439,7 +453,7 @@ class TestNoGrad:
         with tn.no_grad():
             y = (x * x).sum()
         assert not y.requires_grad
-        assert y.is_leaf()
+        assert y._parents == ()
 
     def test_reenabled_after_block(self):
         x = t([1.0], requires_grad=True)

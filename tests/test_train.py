@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from xft.merge import _MergedTrainable, init_mixing_coefficients
 from xft.model import ModelConfig, build_dense_model
+from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.tensor import Tensor
 from xft.train import (
     AdamW,
@@ -108,6 +110,36 @@ class TestAdamW:
         AdamW({"m": mat, "v": vec}).step(lr=0.1)
         assert np.allclose(mat.data, 1.0 - 0.1 * 0.01)
         assert np.array_equal(vec.data, np.ones(2))
+
+
+class TestWeightDecaySet:
+    """AdamW decays the matrices: weights, embeddings, the unembedding and the
+    router centroids. Biases, gains, the stacked expert biases [N, f] and the
+    mixing logits stay undecayed."""
+
+    @staticmethod
+    def decayed(trainable) -> list[str]:
+        params = trainable.named_parameters()
+        for p in params.values():
+            p.data[...] = 1.0
+            p.grad = np.zeros_like(p.data)
+        AdamW(params).step(lr=0.1)  # a zero gradient moves only what decays
+        return sorted(name for name, p in params.items() if (p.data != 1.0).any())
+
+    def test_dense_moe_and_merge_trainable(self):
+        cfg = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq_len=6)
+        dense = build_dense_model(cfg, seed=0)
+        moe = upcycle_dense_to_moe(dense, MoEConfig(4, 2), seed=1)
+        attn = ["layers.0.attn.wk", "layers.0.attn.wo", "layers.0.attn.wq", "layers.0.attn.wv"]
+        embeddings = ["pos_emb", "tok_emb", "unembed"]
+        assert self.decayed(dense) == attn + ["layers.0.ffn.w_down", "layers.0.ffn.w_up",
+                                              *embeddings]
+        assert self.decayed(moe) == attn + ["layers.0.moe.centroids",
+                                            "layers.0.moe.experts.w_down",
+                                            "layers.0.moe.experts.w_up", *embeddings]
+        merge = _MergedTrainable(moe, init_mixing_coefficients(4, 1, 0.75))
+        assert list(merge.named_parameters()) == ["layers.0.mixing_logits"]
+        assert self.decayed(merge) == []
 
 
 class TestByteTokenizer:
