@@ -10,16 +10,17 @@ Layout, all integers little-endian:
 
 The JSON blob carries the model configuration, the MoE configuration when
 present, and free-form metadata (phase, seed, shared rate), so a checkpoint
-is self-describing. An MoE layer's stacked experts are stored one entry per
-expert and weight. Saves are atomic (``atomic_write``) and byte-stable:
-identical models and metadata produce identical files.
+is self-describing. The directory lists the model's entries in parameter
+order, each tensor starting where the previous one ends; an MoE layer's
+stacked experts are stored one entry per expert and weight. A load accepts
+that layout and nothing else. Saves are atomic (``atomic_write``) and
+byte-stable: identical models and metadata produce identical files.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import struct
 import tempfile
@@ -148,7 +149,9 @@ def read_checkpoint_config(path: str) -> dict:
 
 
 def load_checkpoint(path: str) -> Transformer:
-    """Reconstruct a dense or MoE model, validating structure throughout."""
+    """Reconstruct a dense or MoE model from a file laid out as ``save_checkpoint``
+    writes it: the declared architecture's entries in file order, back to back.
+    Any other layout, a truncation or a non-finite value raises CheckpointError."""
     with _open(path) as f:
         r = _Reader(f, path)
         config = _read_config(r)
@@ -157,54 +160,42 @@ def load_checkpoint(path: str) -> Transformer:
             moe_cfg = config_from_dict(MoEConfig, config["moe"]) if config.get("moe") else None
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path!r}: malformed config blob: {e}") from e
+        model = assemble(model_cfg, moe_cfg,
+                         lambda name, shape: Tensor(np.empty(shape, np.float32), requires_grad=True))
+        expected = list(_file_entries(model))
 
-        n_tensors = r.u64("tensor count")
-        entries: dict[str, tuple[tuple[int, ...], int]] = {}
-        for i in range(n_tensors):
+        n_tensors, offset = r.u64("tensor count"), 0
+        # entry by entry before the count is checked, so that a missing entry is named
+        for i, (name, out) in enumerate(expected[:n_tensors]):
             try:
-                name = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
+                found = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CheckpointError(f"{path!r}: tensor {i} name is not UTF-8: {e}") from e
+            if found != name:
+                raise CheckpointError(f"{path!r}: tensor {i} is {found!r}, expected {name!r}")
             dtype_code, rank = struct.unpack("<BB", r.take(2, f"{name} dtype/rank"))
             if dtype_code != DTYPE_FLOAT32:
-                raise CheckpointError(f"{path!r}: tensor {name!r} has unknown dtype code {dtype_code}")
+                raise CheckpointError(
+                    f"{path!r}: tensor {name!r} has unknown dtype code {dtype_code}")
             dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"{name} dims"))
-            offset = r.u64(f"{name} offset")
-            if name in entries:
-                raise CheckpointError(f"{path!r}: tensor {name!r} appears twice")
-            entries[name] = (tuple(int(d) for d in dims), offset)
-        data_len = r.u64("data length")
-        data = r.take(data_len, "data section")
-
-    spans = []
-    for name, (dims, offset) in entries.items():
-        nbytes = math.prod(dims) * 4
-        if offset + nbytes > data_len:
+            if dims != out.shape:
+                raise CheckpointError(
+                    f"{path!r}: tensor {name!r} has shape {dims}, expected {out.shape}")
+            if (start := r.u64(f"{name} offset")) != offset:
+                raise CheckpointError(
+                    f"{path!r}: tensor {name!r} starts at byte {start} of the data section, "
+                    f"expected {offset}: tensors lie back to back, with no gap or overlap")
+            offset += out.nbytes
+        if n_tensors != len(expected):
+            raise CheckpointError(f"{path!r}: the file lists {n_tensors} tensors, "
+                                  f"the declared architecture has {len(expected)}")
+        if (data_len := r.u64("data length")) != offset:
             raise CheckpointError(
-                f"{path!r}: tensor {name!r} spans [{offset}, {offset + nbytes}) "
-                f"beyond data section of {data_len} bytes")
-        spans.append((offset, offset + nbytes, name))
-    spans.sort()
-    for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
-        if start_b < end_a:
-            raise CheckpointError(f"{path!r}: tensors {name_a!r} and {name_b!r} overlap")
-
-    model = assemble(model_cfg, moe_cfg,
-                     lambda name, shape: Tensor(np.empty(shape, np.float32), requires_grad=True))
-    for name, out in _file_entries(model):  # fill the model's buffers from the file
-        if name not in entries:
-            raise CheckpointError(
-                f"{path!r}: tensor names do not match the declared architecture "
-                f"(missing {name!r})")
-        dims, offset = entries.pop(name)
-        if dims != out.shape:
-            raise CheckpointError(
-                f"{path!r}: tensor {name!r} has shape {dims}, expected {out.shape}")
-        out[...] = np.frombuffer(data, dtype="<f4", count=out.size, offset=offset).reshape(dims)
-        if not np.isfinite(out).all():
-            raise CheckpointError(f"{path!r}: tensor {name!r} holds non-finite values")
-    if entries:
-        raise CheckpointError(
-            f"{path!r}: tensor names do not match the declared architecture "
-            f"(unexpected {sorted(entries)[:3]})")
+                f"{path!r}: data section of {data_len} bytes, the tensors take {offset}")
+        for name, out in expected:  # fill the model's buffers from the file
+            out[...] = np.frombuffer(r.take(out.nbytes, f"{name} data"), "<f4").reshape(out.shape)
+            if not np.isfinite(out).all():
+                raise CheckpointError(f"{path!r}: tensor {name!r} holds non-finite values")
+        if r.pos != r.size:
+            raise CheckpointError(f"{path!r}: {r.size - r.pos} bytes after the data section")
     return model

@@ -62,22 +62,16 @@ class MixingCoefficients:
         return self.lam is None
 
     def alphas(self, layer: int) -> np.ndarray:
-        """Mixing weights for one layer as float64, shared expert first."""
-        z = self.logits[layer].data.astype(np.float64)
-        e = np.exp(z - z.max())
-        sm = e / e.sum()
-        if self.lam is None:
-            return sm
-        return np.concatenate(([self.lam], sm * (1.0 - self.lam)))
+        """Mixing weights for one layer as float64, shared expert first:
+        ``graph_alphas``'s formula on a float64 copy of the logits."""
+        with tn.no_grad():
+            return _mixing(Tensor(self.logits[layer].data.astype(np.float64)), self.lam).data
 
     def graph_alphas(self, layer: int) -> Tensor:
         """One layer's [N] mixing weights for the differentiable merge, shared
         expert first; the pinned shared coefficient of constrained mode is a
         constant."""
-        sm = tn.softmax(self.logits[layer])
-        if self.lam is None:
-            return sm
-        return tn.concat([Tensor(np.array([self.lam], dtype=sm.dtype)), sm * (1.0 - self.lam)])
+        return _mixing(self.logits[layer], self.lam)
 
     def to_json_obj(self) -> dict:
         return {
@@ -99,6 +93,14 @@ class MixingCoefficients:
             raise ValueError("coefficient fields have the wrong types")
         logits = [Tensor(np.asarray(row, dtype=np.float32), requires_grad=True) for row in rows]
         return cls(logits, None if lam is None else float(lam), n)
+
+
+def _mixing(logits: Tensor, lam: float | None) -> Tensor:
+    """softmax(logits), or in constrained mode lam then softmax(logits) * (1 - lam)."""
+    sm = tn.softmax(logits)
+    if lam is None:
+        return sm
+    return tn.concat([Tensor(np.array([lam], dtype=sm.dtype)), sm * (1.0 - lam)])
 
 
 def _is_number(v) -> bool:

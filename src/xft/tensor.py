@@ -288,7 +288,7 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
     """An MoE layer after its router, as one node: (h, gates).
 
     ``scores`` [T, N-1] are the normal experts' affinities and ``sel`` [T, r]
-    the normal experts each token uses (expert - 1), the top affinity first;
+    the distinct normal experts each token uses (expert - 1), the top affinity first;
     ``w_up`` [N, d, f], ``b_up`` [N, f], ``w_down`` [N, f, d] and ``b_down``
     [N, d] stack all N experts' weights, the shared expert first. With s_max =
     scores[t, sel[t, 0]], the gates are softmax(picked) * s_max over the picked
@@ -385,9 +385,9 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
                 g_soft = gg * s_max
                 g_smax += (gg * soft).sum(axis=1, keepdims=True)
                 gg = (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True)) * soft
-            g_scores = np.zeros_like(scores.data)
-            np.add.at(g_scores, (token, sel), gg)
-            np.add.at(g_scores, (token, sel[:, :1]), g_smax)
+            g_scores = np.zeros_like(scores.data)  # sel's rows are distinct: += adds each once
+            g_scores[token, sel] += gg
+            g_scores[token, sel[:, :1]] += g_smax
         return (gu, g_scores, *grads)
 
     return _make(h, parents, bw), gates

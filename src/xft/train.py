@@ -107,7 +107,9 @@ def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
     sq = 0.0
     for p in params:
         if p.grad is not None:
-            sq += float((p.grad.astype(np.float64) ** 2).sum())
+            g64 = p.grad.astype(np.float64)
+            sq += float(np.square(g64, out=g64).sum())
+            del g64  # one float64 copy alive at a time
     norm = math.sqrt(sq)
     if norm > max_norm > 0:
         scale = max_norm / norm

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -286,33 +287,66 @@ class TestCheckpointDirectory:
 
     def test_duplicate_tensor_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
-        with pytest.raises(CheckpointError, match="appears twice"):
+        with pytest.raises(CheckpointError,
+                           match="lists 60 tensors, the declared architecture has 59"):
             self.load(tmp_path, config, entries + entries[:1], data)
 
     def test_overlapping_tensors_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
         name, shape, _ = entries[1]
         entries[1] = (name, shape, entries[0][2])
-        with pytest.raises(CheckpointError, match="overlap"):
+        with pytest.raises(CheckpointError,
+                           match="'pos_emb' starts at byte 0 .* expected 1984: .* no gap or overlap"):
             self.load(tmp_path, config, entries, data)
 
     def test_tensor_beyond_data_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
         name, shape, _ = entries[-1]
         entries[-1] = (name, shape, len(data) - 4)
-        with pytest.raises(CheckpointError, match="beyond data section"):
+        with pytest.raises(CheckpointError,
+                           match=f"{name!r} starts at byte {len(data) - 4} of the data section, "
+                                 f"expected {len(data) - 4 * math.prod(shape)}"):
             self.load(tmp_path, config, entries, data)
 
     def test_missing_tensor_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
-        with pytest.raises(CheckpointError, match="missing 'layers.1.moe.experts.2.b_up'"):
+        with pytest.raises(CheckpointError, match="tensor 49 is 'layers.1.moe.experts.2.w_down', "
+                                                  "expected 'layers.1.moe.experts.2.b_up'"):
             self.load(tmp_path, config,
                       [e for e in entries if e[0] != "layers.1.moe.experts.2.b_up"], data)
+
+    def test_swapped_entries_rejected(self, tmp_path):
+        """Two valid entries, offsets and all, in each other's place: the file
+        order is part of the format."""
+        _, config, entries, data = self.parts()
+        i = next(i for i, e in enumerate(entries) if e[0] == "layers.0.moe.experts.1.b_up")
+        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        with pytest.raises(CheckpointError, match=f"tensor {i} is 'layers.0.moe.experts.1.w_down', "
+                                                  "expected 'layers.0.moe.experts.1.b_up'"):
+            self.load(tmp_path, config, entries, data)
+
+    def test_gap_before_tensor_rejected(self, tmp_path):
+        """Four bytes between two tensors, every later offset moved past them."""
+        _, config, entries, data = self.parts()
+        i = next(i for i, e in enumerate(entries) if e[0] == "layers.1.attn.wv")
+        start = entries[i][2]
+        entries[i:] = [(name, shape, offset + 4) for name, shape, offset in entries[i:]]
+        with pytest.raises(CheckpointError, match=f"'layers.1.attn.wv' starts at byte {start + 4} "
+                                                  f"of the data section, expected {start}"):
+            self.load(tmp_path, config, entries, data[:start] + bytes(4) + data[start:])
+
+    def test_bytes_after_data_section_rejected(self, tmp_path):
+        _, config, entries, data = self.parts()
+        path = tmp_path / "c.xftc"
+        path.write_bytes(checkpoint_bytes(config, entries, data) + bytes(3))
+        with pytest.raises(CheckpointError, match="3 bytes after the data section"):
+            load_checkpoint(str(path))
 
     def test_duplicate_expert_entry_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
         dup = next(e for e in entries if e[0] == "layers.0.moe.experts.3.w_down")
-        with pytest.raises(CheckpointError, match="'layers.0.moe.experts.3.w_down' appears twice"):
+        with pytest.raises(CheckpointError,
+                           match="lists 60 tensors, the declared architecture has 59"):
             self.load(tmp_path, config, entries + [dup], data)
 
     def test_misshaped_expert_entry_rejected(self, tmp_path):
@@ -335,8 +369,42 @@ class TestCheckpointDirectory:
     def test_unexpected_tensor_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
         extra = [("layers.0.moe.experts.9.b_up", (4,), len(data))]
-        with pytest.raises(CheckpointError, match="unexpected.*experts.9"):
+        with pytest.raises(CheckpointError,
+                           match="lists 60 tensors, the declared architecture has 59"):
             self.load(tmp_path, config, entries + extra, data + bytes(16))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_only_the_written_layout_loads(self, tmp_path_factory, data):
+        """The writer's layout loads bit for bit; a swap of two entries, offsets
+        and all, or a gap before any entry or after the last is rejected, and
+        the message names the first defect in file order."""
+        model, config, entries, blob = self.parts()
+        path = tmp_path_factory.getbasetemp() / "layout.xftc"
+        index = st.integers(0, len(entries) - 1)
+        i, j = sorted((data.draw(index, label="swap"), data.draw(index, label="with")))
+        gap_at = data.draw(st.integers(0, len(entries)), label="gap before entry")
+        gap = data.draw(st.integers(0, 9), label="gap bytes")
+        at = entries[gap_at][2] if gap_at < len(entries) else len(blob)
+        moved = [(name, shape, offset + gap * (k >= gap_at))
+                 for k, (name, shape, offset) in enumerate(entries)]
+        moved[i], moved[j] = moved[j], moved[i]
+        path.write_bytes(checkpoint_bytes(config, moved, blob[:at] + bytes(gap) + blob[at:]))
+        if i != j and (not gap or i <= gap_at):  # the first defect in file order is named
+            message = f"tensor {i} is {entries[j][0]!r}, expected {entries[i][0]!r}"
+        elif gap and gap_at < len(entries):
+            message = f"{entries[gap_at][0]!r} starts at byte {at + gap} of the data section"
+        elif gap:
+            message = f"data section of {len(blob) + gap} bytes, the tensors take {len(blob)}"
+        else:
+            loaded = load_checkpoint(str(path))
+            for (name, a), (_, b) in zip(per_expert_parameters(model),
+                                         per_expert_parameters(loaded), strict=True):
+                assert a.data.tobytes() == b.data.tobytes(), name
+            return
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(str(path))
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("section, field, value", WRONG_TYPE_CASES)
     def test_config_field_of_wrong_type_rejected(self, tmp_path, section, field, value):
@@ -360,7 +428,8 @@ class TestCheckpointDirectory:
 
     def test_dense_config_with_moe_tensors_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
-        with pytest.raises(CheckpointError, match="do not match the declared architecture"):
+        with pytest.raises(CheckpointError, match="tensor 12 is 'layers.0.moe.centroids', "
+                                                  "expected 'layers.0.ffn.w_up'"):
             self.load(tmp_path, dict(config, moe=None), entries, data)
 
     def test_shape_mismatch_rejected(self, tmp_path):

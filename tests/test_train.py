@@ -1,5 +1,7 @@
 """Optimizer, schedule, tokenization/masking, and the SFT loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from xft.train import (
     InstructionExample,
     TrainHyper,
     TrainingDiverged,
+    clip_global_norm,
     lr_at_step,
     sft_train,
     tokenize_and_mask,
@@ -140,6 +143,27 @@ class TestWeightDecaySet:
         merge = _MergedTrainable(moe, init_mixing_coefficients(4, 1, 0.75))
         assert list(merge.named_parameters()) == ["layers.0.mixing_logits"]
         assert self.decayed(merge) == []
+
+
+class TestClipGlobalNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_bits_and_untouched_gradients(self, dtype):
+        """The norm is bit for bit sqrt of the sum over gradients of
+        ``float((g.astype(np.float64) ** 2).sum())``, a tensor without a gradient
+        is skipped, and no gradient changes when the norm is within bounds."""
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            params = [Tensor(np.zeros(2, dtype=dtype), requires_grad=True)]  # no gradient
+            for shape in ((3, 4), (7,), (2, 3, 5)):
+                p = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+                p.grad = (rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20)).astype(dtype)
+                p.grad.reshape(-1)[0] = -0.0
+                params.append(p)
+            grads = [p.grad.copy() for p in params[1:]]
+            expected = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+            norm = clip_global_norm(params, max_norm=expected + 1.0)
+            assert np.float64(norm).tobytes() == np.float64(expected).tobytes()
+            assert all(np.array_equal(p.grad, g) for p, g in zip(params[1:], grads))
 
 
 class TestByteTokenizer:
