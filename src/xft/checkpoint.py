@@ -109,16 +109,18 @@ class _Reader:
         self.size = os.fstat(f.fileno()).st_size
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str, name=None) -> bytes:
+        """The next n bytes; ``what`` labels them in the truncation message, its
+        ``{}`` filled with ``name`` only when that message is raised."""
         if self.pos + n > self.size:
             raise CheckpointError(
-                f"{self.path!r}: truncated while reading {what} "
+                f"{self.path!r}: truncated while reading {what.format(name)} "
                 f"(need {n} bytes at offset {self.pos}, file has {self.size})")
         self.pos += n
         return self.f.read(n)
 
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def u64(self, what: str, name=None) -> int:
+        return struct.unpack("<Q", self.take(8, what, name))[0]
 
 
 def _open(path: str):
@@ -168,20 +170,20 @@ def load_checkpoint(path: str) -> Transformer:
         # entry by entry before the count is checked, so that a missing entry is named
         for i, (name, out) in enumerate(expected[:n_tensors]):
             try:
-                found = r.take(r.u64("name length"), f"tensor {i} name").decode("utf-8")
+                found = r.take(r.u64("name length"), "tensor {} name", i).decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CheckpointError(f"{path!r}: tensor {i} name is not UTF-8: {e}") from e
             if found != name:
                 raise CheckpointError(f"{path!r}: tensor {i} is {found!r}, expected {name!r}")
-            dtype_code, rank = struct.unpack("<BB", r.take(2, f"{name} dtype/rank"))
+            dtype_code, rank = struct.unpack("<BB", r.take(2, "{} dtype/rank", name))
             if dtype_code != DTYPE_FLOAT32:
                 raise CheckpointError(
                     f"{path!r}: tensor {name!r} has unknown dtype code {dtype_code}")
-            dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"{name} dims"))
+            dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, "{} dims", name))
             if dims != out.shape:
                 raise CheckpointError(
                     f"{path!r}: tensor {name!r} has shape {dims}, expected {out.shape}")
-            if (start := r.u64(f"{name} offset")) != offset:
+            if (start := r.u64("{} offset", name)) != offset:
                 raise CheckpointError(
                     f"{path!r}: tensor {name!r} starts at byte {start} of the data section, "
                     f"expected {offset}: tensors lie back to back, with no gap or overlap")
@@ -193,7 +195,7 @@ def load_checkpoint(path: str) -> Transformer:
             raise CheckpointError(
                 f"{path!r}: data section of {data_len} bytes, the tensors take {offset}")
         for name, out in expected:  # fill the model's buffers from the file
-            out[...] = np.frombuffer(r.take(out.nbytes, f"{name} data"), "<f4").reshape(out.shape)
+            out[...] = np.frombuffer(r.take(out.nbytes, "{} data", name), "<f4").reshape(out.shape)
             if not np.isfinite(out).all():
                 raise CheckpointError(f"{path!r}: tensor {name!r} holds non-finite values")
         if r.pos != r.size:

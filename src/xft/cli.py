@@ -23,10 +23,8 @@ from xft.merge import (
     DEFAULT_SHARED_RATE,
     EWA_DEFAULT_BETA,
     EWA_SCHEDULES,
-    EWAConfig,
     MixingCoefficients,
-    ewa_beta_at_step,
-    ewa_step,
+    ewa_hook,
     init_mixing_coefficients,
     learn_mixing_coefficients,
     merge_uniform,
@@ -117,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ewa-beta", type=float, default=None,
                    help=f"enable EWA expert blending (reference share rate {EWA_DEFAULT_BETA})")
     p.add_argument("--ewa-schedule", choices=EWA_SCHEDULES, default=None,
-                   help=f"with --ewa-beta: share rate schedule (default {EWAConfig.schedule})")
+                   help=f"with --ewa-beta: share rate schedule (default {EWA_SCHEDULES[0]})")
     _add_train_args(p, MOE_LR_DEFAULT)
     _add_seed(p)
 
@@ -244,21 +242,15 @@ def cmd_train_moe(args) -> int:
     examples = load_instruction_dataset(args.data)
     hyper = _resolve_hyper(args, len(examples), args.epochs)
 
-    post_step = None
-    if args.ewa_beta is not None:
-        ewa_cfg = EWAConfig(beta=args.ewa_beta, schedule=args.ewa_schedule or EWAConfig.schedule)
-        total_steps = hyper.epochs * steps_per_epoch(len(examples), hyper.batch_size)
-
-        def post_step(step):
-            beta = ewa_beta_at_step(ewa_cfg, step, total_steps)
-            for block in model.blocks:
-                ewa_step(block.slot, beta)
-
+    schedule = args.ewa_schedule or EWA_SCHEDULES[0]
+    post_step = None if args.ewa_beta is None else ewa_hook(
+        model, args.ewa_beta, schedule,
+        hyper.epochs * steps_per_epoch(len(examples), hyper.batch_size))
     curve = sft_train(model, examples, hyper, post_step=post_step)
     meta = {"phase": "moe-sft", "seed": args.seed, "epochs": args.epochs}
     if args.ewa_beta is not None:
         meta["ewa_beta"] = args.ewa_beta
-        meta["ewa_schedule"] = ewa_cfg.schedule
+        meta["ewa_schedule"] = schedule
     save_checkpoint(model, args.out, meta=meta)
     _report_curve(args, curve, len(examples))
     print(f"wrote fine-tuned MoE model to {args.out}")

@@ -10,8 +10,7 @@ their mean during training).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -176,24 +175,23 @@ def merge_uniform(model: Transformer) -> Transformer:
     return _merge_fixed(model, [np.full(n, 1.0 / n)] * model.cfg.n_layers)
 
 
-@dataclass
-class EWAConfig:
-    beta: float = EWA_DEFAULT_BETA
-    schedule: str = EWA_SCHEDULES[0]
+def ewa_hook(model: Transformer, beta: float, schedule: str,
+             total_steps: int) -> Callable[[int], None]:
+    """``sft_train``'s ``post_step`` for EWA: after step s, every MoE layer's
+    experts blend toward their mean at rate beta ("constant"), or at
+    beta * s / (total_steps - 1) ("linear"). Checks beta and the schedule now."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"share rate beta must lie in [0, 1], got {beta}")
+    if schedule not in EWA_SCHEDULES:
+        raise ValueError(f"unknown EWA schedule {schedule!r}")
 
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"share rate beta must lie in [0, 1], got {self.beta}")
-        if self.schedule not in EWA_SCHEDULES:
-            raise ValueError(f"unknown EWA schedule {self.schedule!r}")
+    def post_step(step: int) -> None:
+        constant = schedule == "constant" or total_steps <= 1
+        rate = beta if constant else beta * step / (total_steps - 1)
+        for block in model.blocks:
+            ewa_step(block.slot, rate)
 
-
-def ewa_beta_at_step(cfg: EWAConfig, step: int, total_steps: int) -> float:
-    if cfg.schedule == "constant":
-        return cfg.beta
-    if total_steps <= 1:
-        return cfg.beta
-    return cfg.beta * step / (total_steps - 1)
+    return post_step
 
 
 def ewa_step(layer: MoELayer, beta: float) -> None:

@@ -13,7 +13,9 @@ activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
 rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
 op of its input, such as ``gelu``: the node replays that op's backward.
 ``expert_ffn`` is an MoE layer after its router as one node, over stacked
-[N, ...] expert weights; ``mix`` is the merge's convex mix of a stacked tensor.
+[N, ...] expert weights, with one gating and combine for every call and only
+the experts' evaluation chosen per call; ``mix`` is the merge's convex mix of a
+stacked tensor.
 """
 
 from __future__ import annotations
@@ -297,14 +299,15 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
 
         h = u + (1 - s_max) FFN_0(u) + sum over j of gates[t, j] FFN_{1 + sel[t, j]}(u).
 
-    Each FFN is ``ffn`` with ``gelu``, looked up when called. The (token, slot)
-    pairs are stably sorted by expert, each expert runs once on its contiguous
-    block of rows, and each token's gated outputs are summed back. ``gates``
-    [T, 1 + r] lists the shared gate first. An expert without rows gets a zero
-    gradient slice. Without a graph to record, the node builds no Tensor but
-    its output: each block runs ``_ffn``'s arithmetic with ``gelu``'s forward
-    ``_gelu_tanh``, and a one-row call runs each expert as gemv calls around
-    one GELU over all of them."""
+    Each FFN is ``ffn`` with ``gelu``, looked up when called. Every call sorts
+    the (token, slot) pairs stably by expert, gates the routed rows and sums
+    each token's slots back; ``gates`` [T, 1 + r] lists the shared gate first.
+    Only the experts' evaluation differs. A recording call runs each expert once
+    through ``_ffn`` on its contiguous block of rows; an expert without rows gets
+    a zero gradient slice. Without a graph the node builds no Tensor but its
+    output: each block runs ``_ffn``'s arithmetic with ``gelu``'s forward
+    ``_gelu_tanh``, and a one-row call runs all N experts as two batched products
+    over the stacked weights, then picks its rows."""
     sel = np.asarray(sel, dtype=np.intp)
     weights = (w_up, b_up, w_down, b_down)
     n = w_up.shape[0] - 1
@@ -330,33 +333,27 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
     gates = np.concatenate((shared_gate, normal_gates), axis=1)
     parents = (u, scores, *weights) if _GRAD_ENABLED else ()
     recording = any(p.requires_grad for p in parents)
-    if t == 1 and not recording:  # gemvs, one GELU: a one-row layer took 189 us, 316 in blocks
-        used = [0, *(sel[0] + 1).tolist()]
-        pre = np.concatenate([u.data @ w_up.data[e] for e in used])
-        pre += b_up.data[used]
-        act = _gelu_tanh(pre)[0]
-        out = np.concatenate([act[i:i + 1] @ w_down.data[e] for i, e in enumerate(used)])
-        out += b_down.data[used]
-        out[1:] *= normal_gates.T
-        h = u.data + shared_gate * out[:1]
-        h += out[1:].reshape(1, r, -1).sum(axis=1)  # the slots' sum, as ``_slot_sum`` adds them
-        return Tensor(h), gates
     order = np.argsort(sel, axis=None, kind="stable")  # (token, slot) pairs by expert
-    ends = np.cumsum(np.bincount(sel.reshape(-1), minlength=n)).tolist()
-    blocks = [(e + 1, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
-    rows = u.data[order // r]
     gate_rows = normal_gates.reshape(-1, 1)[order]
-    runs = [(0, u.data)] + [(e, rows[lo:hi]) for e, lo, hi in blocks]  # (expert, its rows)
-    if recording:  # each expert through _ffn on views of its weights, with a backward rule
-        outs, rules = zip(*(_ffn(x, u.requires_grad, *(Tensor(w.data[e], w.requires_grad)
-                                                      for w in weights), gelu) for e, x in runs))
-        y0, outs = outs[0], np.concatenate(outs[1:], axis=0)
-        routed = gate_rows * outs
-    else:  # no recorded GELU: serve's eval chunk took 3.2 ms, 3.9 ms through _ffn
-        y0, *routed = (_affine(_gelu_tanh(_affine(x, w_up.data[e], b_up.data[e]))[0],
-                               w_down.data[e], b_down.data[e]) for e, x in runs)
-        routed = np.concatenate(routed)
-        routed *= gate_rows
+    if t == 1 and not recording:  # a decode step: all N experts in two batched products
+        act = np.matmul(u.data, w_up.data)[:, 0]
+        act += b_up.data
+        out = np.matmul(_gelu_tanh(act)[0][:, None], w_down.data)[:, 0]
+        out += b_down.data
+        y0, outs = out[:1], out[1 + sel.reshape(-1)[order]]
+    else:
+        ends = np.cumsum(np.bincount(sel.reshape(-1), minlength=n)).tolist()
+        blocks = [(e + 1, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
+        rows = u.data[order // r]
+        runs = [(0, u.data)] + [(e, rows[lo:hi]) for e, lo, hi in blocks]  # (expert, its rows)
+        if recording:  # each expert through _ffn on views of its weights, with a backward rule
+            outs, rules = zip(*(_ffn(x, u.requires_grad, *(Tensor(w.data[e], w.requires_grad)
+                                                          for w in weights), gelu) for e, x in runs))
+        else:  # _ffn's arithmetic without its recorded GELU, faster at serve's 20-100 rows
+            outs = [_affine(_gelu_tanh(_affine(x, w_up.data[e], b_up.data[e]))[0],
+                            w_down.data[e], b_down.data[e]) for e, x in runs]
+        y0, outs = outs[0], np.concatenate(outs[1:])
+    routed = gate_rows * outs
     h = u.data + shared_gate * y0
     h += _slot_sum(routed, order, r)
     if not recording:

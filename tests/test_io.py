@@ -448,6 +448,21 @@ class TestCheckpointDirectory:
         with pytest.raises(CheckpointError, match="'tok_emb' holds non-finite"):
             self.load(tmp_path, config, entries, bad.tobytes())
 
+    @pytest.mark.parametrize("cut,what", [
+        (3, "tensor 1 name"), (8, "pos_emb dtype/rank"), (12, "pos_emb dims"),
+        (28, "pos_emb offset"), (None, "pos_emb data")])
+    def test_truncation_names_the_entry(self, tmp_path, cut, what):
+        _, config, entries, data = self.parts()
+        raw = checkpoint_bytes(config, entries, data)
+        # bytes into pos_emb's directory entry, or 5 bytes into its data
+        end = (raw.index(b"pos_emb") + cut if cut is not None
+               else len(raw) - len(data) + entries[1][2] + 5)
+        path = tmp_path / "c.xftc"
+        path.write_bytes(raw[:end])
+        with pytest.raises(CheckpointError, match=f"truncated while reading {what} "
+                                                  rf"\(need \d+ bytes at offset \d+, file has {end}\)"):
+            load_checkpoint(str(path))
+
     def test_non_utf8_name_rejected(self, tmp_path):
         _, config, entries, data = self.parts()
         path = tmp_path / "c.xftc"

@@ -9,9 +9,10 @@ from conftest import tiny_moe
 from oracles import graph_alphas_composed, mix_composed
 from xft import tensor as tn
 from xft.merge import (
-    EWAConfig,
+    EWA_DEFAULT_BETA,
+    EWA_SCHEDULES,
     MixingCoefficients,
-    ewa_beta_at_step,
+    ewa_hook,
     ewa_step,
     init_mixing_coefficients,
     learn_mixing_coefficients,
@@ -390,27 +391,29 @@ class TestEWA:
         with pytest.raises(ValueError):
             ewa_step(tiny_moe_layer([0.0, 1.0]), 1.5)
 
-    def test_linear_schedule_ramps_zero_to_beta(self):
-        cfg = EWAConfig(beta=0.3, schedule="linear")
-        assert ewa_beta_at_step(cfg, 0, 10) == 0.0
-        assert ewa_beta_at_step(cfg, 9, 10) == pytest.approx(0.3)
+    @pytest.mark.parametrize("schedule,step,total,rate", [
+        ("linear", 0, 10, 0.0), ("linear", 3, 10, 0.1), ("linear", 9, 10, 0.3),
+        ("linear", 0, 1, 0.3), ("constant", 0, 10, 0.3), ("constant", 9, 10, 0.3)])
+    def test_hook_blends_at_the_scheduled_rate(self, schedule, step, total, rate):
+        # after step s, two scalar experts {0, 1} sit at 0.5 -/+ 0.5 (1 - rate)
+        moe = tiny_moe([0.0, 1.0])
+        ewa_hook(moe, 0.3, schedule, total)(step)
+        w_up = moe.blocks[0].slot.weights.w_up.data
+        assert w_up[0, 0, 0] == pytest.approx(0.5 - 0.5 * (1.0 - rate), abs=1e-6)
+        assert w_up[1, 0, 0] == pytest.approx(0.5 + 0.5 * (1.0 - rate), abs=1e-6)
 
-    def test_constant_schedule(self):
-        cfg = EWAConfig(beta=0.3)
-        assert ewa_beta_at_step(cfg, 0, 10) == 0.3
-        assert ewa_beta_at_step(cfg, 9, 10) == 0.3
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EWAConfig(beta=-0.1)
-        with pytest.raises(ValueError):
-            EWAConfig(beta=0.3, schedule="cosine")
+    @pytest.mark.parametrize("beta,schedule,match", [
+        (-0.1, "constant", r"\[0, 1\]"), (1.5, "linear", r"\[0, 1\]"),
+        (0.3, "cosine", "unknown EWA schedule 'cosine'")],
+        ids=["beta_below_0", "beta_above_1", "unknown_schedule"])
+    def test_hook_rejects_bad_settings_before_training(self, beta, schedule, match):
+        with pytest.raises(ValueError, match=match):
+            ewa_hook(tiny_moe([0.0, 1.0]), beta, schedule, 10)
 
     def test_reference_defaults(self):
         # reference share rate 0.3; constant schedule is the supported
         # default (the linear one destabilizes training)
-        cfg = EWAConfig()
-        assert cfg.beta == 0.3 and cfg.schedule == "constant"
+        assert EWA_DEFAULT_BETA == 0.3 and EWA_SCHEDULES[0] == "constant"
 
 
 class TestSharedRateConstants:

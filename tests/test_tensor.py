@@ -397,7 +397,7 @@ class TestExpertFFN:
 
     def test_no_grad_records_no_graph(self):
         """Without a graph the node returns a leaf with the graph-mode and composed
-        bits, on the one-row gemv path and on the block path."""
+        bits, on the one-row batched path and on the block path."""
         for rows, dtype, normalized in itertools.product([1, 33, 238], [np.float32, np.float64],
                                                          [True, False]):
             sel, shapes = routed(rows, seed=rows)
@@ -414,6 +414,27 @@ class TestExpertFFN:
             assert np.array_equal(out.data, composed.data)
             assert np.array_equal(gates, tracked_gates) and np.array_equal(gates, composed_gates)
             assert gates.shape == (rows, 6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,d,f", [(2, 12, 20), (4, 7, 33), (16, 24, 9)])
+    def test_one_row_call_matches_recording_and_composed(self, n, d, f, dtype):
+        """A graph-free one-row call, all N experts in two batched products, gives
+        the recording call's and the composed layer's output and gates bit for bit,
+        for every slot count r and both gate forms."""
+        rng = np.random.default_rng(n)
+        for r, normalized in itertools.product(range(1, n), [True, False]):
+            affinities = rng.random((1, n - 1)).astype(dtype)
+            sel = np.argsort(-affinities, axis=1, kind="stable")[:, :r]
+            scores = tn.Tensor(affinities, requires_grad=True)
+            u, *weights = (tn.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                           for s in [(1, d), (n, d, f), (n, f), (n, f, d), (n, d)])
+            with tn.no_grad():
+                out, gates = tn.expert_ffn(u, scores, sel, *weights, normalized)
+            assert out._parents == () and out.dtype == dtype and gates.shape == (1, 1 + r)
+            for h, h_gates in (tn.expert_ffn(u, scores, sel, *weights, normalized),
+                               moe_layer_composed(u, scores, sel, *weights, normalized)):
+                assert h.requires_grad and np.array_equal(out.data, h.data)
+                assert np.array_equal(gates, h_gates)
 
     @pytest.mark.parametrize("score_shape,sel,match", [
         ((5, 2), np.zeros((5, 2), dtype=int), "shape mismatch"),  # 3 normal experts
