@@ -23,6 +23,7 @@ import contextlib
 import json
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -109,15 +110,16 @@ class _Reader:
         self.size = os.fstat(f.fileno()).st_size
         self.path = path
 
-    def take(self, n: int, what: str, name=None) -> bytes:
-        """The next n bytes; ``what`` labels them in the truncation message, its
-        ``{}`` filled with ``name`` only when that message is raised."""
+    def take(self, n: int, what: str, name=None, into=None) -> bytes | int:
+        """The next n bytes, or read into ``into`` (a buffer of n bytes) and
+        their count; ``what`` labels them in the truncation message, its ``{}``
+        filled with ``name`` only when that message is raised."""
         if self.pos + n > self.size:
             raise CheckpointError(
                 f"{self.path!r}: truncated while reading {what.format(name)} "
                 f"(need {n} bytes at offset {self.pos}, file has {self.size})")
         self.pos += n
-        return self.f.read(n)
+        return self.f.read(n) if into is None else self.f.readinto(into)
 
     def u64(self, what: str, name=None) -> int:
         return struct.unpack("<Q", self.take(8, what, name))[0]
@@ -195,7 +197,10 @@ def load_checkpoint(path: str) -> Transformer:
             raise CheckpointError(
                 f"{path!r}: data section of {data_len} bytes, the tensors take {offset}")
         for name, out in expected:  # fill the model's buffers from the file
-            out[...] = np.frombuffer(r.take(out.nbytes, "{} data", name), "<f4").reshape(out.shape)
+            if r.take(out.nbytes, "{} data", name, into=out) != out.nbytes:
+                raise CheckpointError(f"{path!r}: tensor {name!r} ended early: the file shrank")
+            if sys.byteorder == "big":  # the file holds little-endian floats
+                out.byteswap(inplace=True)
             if not np.isfinite(out).all():
                 raise CheckpointError(f"{path!r}: tensor {name!r} holds non-finite values")
         if r.pos != r.size:

@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", default=None,
                    help="random seed (default: $XFT_SEED or 0)")
 
 
@@ -161,19 +161,15 @@ def build_parser() -> _Parser:
 
 
 def _seed_of(args) -> int:
-    """``--seed``, else ``$XFT_SEED``, else 0; a seed that is not a
-    non-negative integer is a ValueError naming where it came from."""
+    """``--seed``, else ``$XFT_SEED``, else 0; a seed that is not plain ASCII
+    digits is a ValueError naming where it came from."""
     if args.seed is not None:
-        source, seed = "--seed", args.seed
+        source, text = "--seed", args.seed
     else:
         source, text = "XFT_SEED", os.environ.get("XFT_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ValueError(f"XFT_SEED must be a non-negative integer, got {text!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _resolve_hyper(args, n_examples: int, epochs: int) -> TrainHyper:

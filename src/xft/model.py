@@ -232,7 +232,7 @@ class Transformer:
         positions = past + np.arange(idx.size) - np.repeat(bounds[:-1], lengths)
         return idx, positions, bounds
 
-    def hidden(self, tokens, bounds=None, cache: KVCache | None = None):
+    def hidden(self, tokens, bounds=None, cache: KVCache | None = None, rows=None):
         """Final hidden states [T, d_model] and per-layer routing records
         (None for dense layers). ``tokens`` may pack several sequences split
         at ``bounds``; each is processed as if it were alone.
@@ -240,15 +240,25 @@ class Transformer:
         With a ``cache`` (under ``tn.no_grad``), ``tokens`` are one sequence
         that continues the ``cache.length`` positions already run: only the
         new rows are computed and routed, their keys and values are appended
-        to the cache, and they attend to the cached ones."""
+        to the cache, and they attend to the cached ones.
+
+        ``rows`` (1-d indices into the T rows) keeps only those rows after the
+        last block's attention, so the last slot runs and routes them alone and
+        the result is [len(rows), d_model]: no row feeds another after that."""
         past = 0 if cache is None else cache.length
         idx, positions, bounds = self._check_tokens(tokens, bounds, past)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.ndim != 1 or ((rows < 0) | (rows >= idx.size)).any():
+                raise ValueError(f"rows must be 1-d indices in [0, {idx.size})")
         x = tn.gather_rows(self.tok_emb, idx) + tn.gather_rows(self.pos_emb, positions)
         routing = []
         for i, block in enumerate(self.blocks):
             kv = None if cache is None else (cache.keys[i, :past + idx.size],
                                              cache.values[i, :past + idx.size])
             u = attention_forward(x, block, self.cfg, bounds, kv)
+            if rows is not None and i == len(self.blocks) - 1:
+                u = tn.gather_rows(u, rows)
             if isinstance(block.slot, FFNWeights):
                 x = u + ffn_forward(u, block.slot)
                 routing.append(None)
@@ -259,8 +269,9 @@ class Transformer:
             cache.length = past + idx.size
         return x, routing
 
-    def logits(self, tokens, bounds=None, cache: KVCache | None = None) -> Tensor:
-        h, _ = self.hidden(tokens, bounds, cache)
+    def logits(self, tokens, bounds=None, cache: KVCache | None = None, rows=None) -> Tensor:
+        """Next-token logits [T, vocab], or at ``rows`` only (see ``hidden``)."""
+        h, _ = self.hidden(tokens, bounds, cache, rows)
         return tn.layer_norm(h, self.ln_f.gain, self.ln_f.bias) @ self.unembed
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -357,8 +368,9 @@ def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,
     prediction target (scored from position i-1 of the same sequence).
     ``bounds`` splits the packed tokens into sequences (one when None). The
     loss is the mean over sequences of each sequence's masked mean, or with
-    ``per_token`` the mean over all masked targets. Returns the packed logits
-    [sum (T_i - 1), vocab] and the scalar loss.
+    ``per_token`` the mean over all masked targets. Only the scored rows pass
+    the last slot and the output head. Returns their logits [n scored, vocab],
+    in packed order, and the scalar loss.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
     mask = np.asarray(loss_mask, dtype=np.float64)
@@ -382,17 +394,19 @@ def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,
     else:
         weights = target_mask / np.repeat(n_targets * n_targets.size, np.diff(in_bounds))
 
-    logits = model.logits(tokens[is_input], in_bounds)
+    rows = np.flatnonzero(target_mask)
+    logits = model.logits(tokens[is_input], in_bounds, rows=rows)
     logp = tn.log_softmax(logits)
-    picked = tn.take_along_rows(logp, tokens[is_target][:, None])
-    loss = -(picked * Tensor(weights[:, None].astype(logits.data.dtype))).sum()
+    picked = tn.take_along_rows(logp, tokens[is_target][rows, None])
+    loss = -(picked * Tensor(weights[rows, None].astype(logits.data.dtype))).sum()
     return logits, loss
 
 
 def generate_greedy(model: Transformer, prompt, max_new: int) -> list[int]:
     """Append argmax tokens; ties break toward the lower token id. The prompt
     runs once, then each step runs only the newest token against a
-    ``KVCache``, so a request costs O(n) rows rather than O(n^2)."""
+    ``KVCache``, so a request costs O(n) rows rather than O(n^2); only the
+    newest row passes the last slot and the output head."""
     seq = [int(t) for t in prompt]
     if not seq:
         raise ValueError("prompt must be nonempty")
@@ -402,11 +416,11 @@ def generate_greedy(model: Transformer, prompt, max_new: int) -> list[int]:
         raise ValueError(f"prompt length {len(seq)} exceeds max_seq_len {model.cfg.max_seq_len}")
     with tn.no_grad():
         cache = KVCache(model)
-        new = seq
+        new, rows = seq, [len(seq) - 1]  # a one-token step's only row is the newest
         for _ in range(max_new):
             if len(seq) >= model.cfg.max_seq_len:
                 break
-            logits = model.logits(new, cache=cache)
+            logits = model.logits(new, cache=cache, rows=rows)
             seq.append(int(np.argmax(logits.data[-1])))
-            new = seq[-1:]
+            new, rows = seq[-1:], None
     return seq

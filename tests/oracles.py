@@ -1,7 +1,8 @@
 """Reference paths the fast ones are checked against: per-token routers for
 ``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
-key/value cache, the composed expressions that ``tn.linear``, ``tn.ffn``,
+key/value cache, the all-rows loss for ``model_forward_loss``, which runs the
+last slot and the output head on the scored rows only, the composed expressions that ``tn.linear``, ``tn.ffn``,
 ``tn.expert_ffn`` and ``tn.mix`` compute as one node each (``expert_ffn`` as
 the MoE layer's graph ops after its router, with the routed experts' composed
 dispatch; ``mix`` as the learned merge's per-expert products and sums), with
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xft import tensor as tn
-from xft.model import FFNWeights
+from xft.model import FFNWeights, _segment_bounds
 from xft.moe import SHARED_EXPERT, MoELayer
 from xft.tensor import Tensor
 
@@ -119,6 +120,30 @@ def generate_uncached(model, prompt, max_new: int) -> list[int]:
                 break
             seq.append(int(np.argmax(model.logits(seq).data[-1])))
     return seq
+
+
+def forward_loss_all_rows(model, tokens, loss_mask, bounds=None, per_token: bool = False):
+    """``model_forward_loss`` with the logits, log-softmax and target pick
+    over every input row; unscored rows enter the sum with weight 0."""
+    tokens = np.asarray(tokens, dtype=np.intp)
+    mask = np.asarray(loss_mask, dtype=np.float64)
+    bounds = _segment_bounds(bounds, tokens.size)
+    is_input = np.ones(tokens.size, dtype=bool)
+    is_input[bounds[1:] - 1] = False
+    is_target = np.ones(tokens.size, dtype=bool)
+    is_target[bounds[:-1]] = False
+    target_mask = mask[is_target]
+    in_bounds = bounds - np.arange(bounds.size)
+    n_targets = np.add.reduceat(target_mask, in_bounds[:-1])
+    if per_token:
+        weights = target_mask / target_mask.sum()
+    else:
+        weights = target_mask / np.repeat(n_targets * n_targets.size, np.diff(in_bounds))
+    logits = model.logits(tokens[is_input], in_bounds)
+    logp = tn.log_softmax(logits)
+    picked = tn.take_along_rows(logp, tokens[is_target][:, None])
+    loss = -(picked * Tensor(weights[:, None].astype(logits.data.dtype))).sum()
+    return logits, loss
 
 
 def add_bias(a, b):

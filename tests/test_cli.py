@@ -154,7 +154,11 @@ class TestIOErrors:
         ("-1", (), "XFT_SEED"),
         ("abc", (), "XFT_SEED"),
         (None, ("--seed", "-3"), "--seed"),
-    ], ids=["env-negative", "env-not-a-number", "flag-negative"])
+        *((text, (), "XFT_SEED") for text in (" 1_0 ", "1_0", "+3", "\u0661")),
+        *((None, ("--seed", text), "--seed") for text in (" 1_0 ", "1_0", "+3", "\u0661")),
+    ], ids=["env-negative", "env-not-a-number", "flag-negative",
+            *(f"{side}-{case}" for side in ("env", "flag")
+              for case in ("spaced-underscore", "underscore", "plus", "arabic-indic-one"))])
     def test_invalid_seed_names_its_source(self, tmp_path, monkeypatch, capsys,
                                            env, flags, source):
         if env is not None:

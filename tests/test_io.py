@@ -216,6 +216,15 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match=r"truncated.*bytes"):
             load_checkpoint(path)
 
+    def test_file_that_shrinks_while_read_rejected(self, tmp_path, monkeypatch):
+        path = self.write_valid(tmp_path)
+        full = os.stat(path)
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-4])  # after the size check, the last tensor comes up short
+        monkeypatch.setattr(os, "fstat", lambda fd: full)
+        with pytest.raises(CheckpointError, match="ended early: the file shrank"):
+            load_checkpoint(path)
+
     def test_not_a_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(str(tmp_path / "missing.xftc"))

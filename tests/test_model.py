@@ -277,8 +277,8 @@ class _StubModel:
     def __init__(self, logits_rows):
         self._rows = np.asarray(logits_rows, dtype=np.float32)
 
-    def logits(self, tokens, bounds=None):
-        return Tensor(self._rows[: len(tokens)].copy())
+    def logits(self, tokens, bounds=None, rows=None):
+        return Tensor(self._rows[: len(tokens)][rows])
 
 
 class TestForwardLoss:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import forward_loss_all_rows
 from xft import tensor as tn
 from xft.merge import _MergedTrainable, init_mixing_coefficients
-from xft.model import ModelConfig, build_dense_model, pack_sequences
+from xft.model import ModelConfig, build_dense_model, model_forward_loss, pack_batch, pack_sequences
 from xft.moe import MoEConfig, upcycle_dense_to_moe
 
 CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=12)
@@ -27,9 +28,11 @@ def random_batch(lengths, seed: int):
     return batch
 
 
-def distinct_moe(seed: int, n: int = 4, k: int = 3, cfg: ModelConfig = CFG):
+def distinct_moe(seed: int, n: int = 4, k: int = 3, cfg: ModelConfig = CFG,
+                 normalized: bool = True):
     """Upcycled MoE whose experts differ and whose router is far from uniform."""
-    moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=seed), MoEConfig(n, k), seed=seed + 1)
+    moe = upcycle_dense_to_moe(build_dense_model(cfg, seed=seed), MoEConfig(n, k, normalized),
+                               seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     for block in moe.blocks:
         block.slot.centroids.data *= 50.0
@@ -142,6 +145,70 @@ class TestNoCrossContamination:
             model.logits([1, 2, 3, 4], [0, 3, 3, 4])
         with pytest.raises(ValueError, match="segment bounds"):
             model.logits([1, 2, 3, 4], [0, 3])
+
+
+SCORED_MODELS = {"dense": dense_trainable, "moe": moe_trainable,
+                 "moe-raw": lambda: distinct_moe(seed=4, normalized=False)}
+
+
+def forward_loss_grads(loss_fn, model, batch, per_token: bool):
+    """Loss and parameter grads of ``loss_fn`` (a ``model_forward_loss``) on the packed batch."""
+    params = model.named_parameters()
+    for p in params.values():
+        p.grad = None
+    _, loss = loss_fn(model, *pack_batch(batch), per_token=per_token)
+    tn.backward(loss)
+    return float(loss.data), {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
+
+
+class TestScoredRowsMatchAllRows:
+    """``model_forward_loss`` runs the last slot and the output head on the
+    scored rows only; the reference runs them on every input row."""
+
+    # (dtype, loss rel, grad rel, logits atol); float32 at the packing tolerances
+    TOLERANCES = {"float64": (np.float64, 1e-10, 1e-10, 1e-12),
+                  "float32": (np.float32, 1e-5, 1e-4, 1e-5)}
+
+    @pytest.mark.parametrize("dtype", sorted(TOLERANCES))
+    @pytest.mark.parametrize("per_token", [False, True])
+    @pytest.mark.parametrize("kind", sorted(SCORED_MODELS))
+    def test_loss_gradients_and_logits(self, kind, per_token, dtype):
+        dtype, loss_rel, grad_rel, logits_atol = self.TOLERANCES[dtype]
+        model = SCORED_MODELS[kind]().copy(dtype=dtype)
+        batch = random_batch(LENGTHS, seed=14)
+        loss, grads = forward_loss_grads(model_forward_loss, model, batch, per_token)
+        ref, ref_grads = forward_loss_grads(forward_loss_all_rows, model, batch, per_token)
+        assert loss == pytest.approx(ref, rel=loss_rel)
+        assert sorted(grads) == sorted(ref_grads)
+        # relative to the largest entry of any gradient: the key-bias gradient
+        # is 0 in exact arithmetic, so its own entries are rounding noise
+        scale = max(float(np.abs(g).max()) for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert np.abs(grads[name] - g).max() <= grad_rel * scale, name
+        tokens, mask, bounds = pack_batch(batch)
+        rows = np.flatnonzero(mask)
+        with tn.no_grad():
+            kept = model.logits(tokens, bounds, rows=rows).data
+            every = model.logits(tokens, bounds).data
+        assert np.abs(kept - every[rows]).max() <= logits_atol
+
+    def test_only_the_last_layer_routes_the_kept_rows(self):
+        model = moe_trainable()
+        tokens, mask, bounds = pack_batch(random_batch(LENGTHS, seed=16))
+        rows = np.flatnonzero(mask)
+        with tn.no_grad():
+            _, routing = model.hidden(tokens, bounds, rows=rows)
+            _, every = model.hidden(tokens, bounds)
+        assert [r.selected.shape[0] for r in routing] == [tokens.size] * (CFG.n_layers - 1) + [rows.size]
+        assert np.array_equal(routing[-1].selected, every[-1].selected[rows])
+
+    @pytest.mark.parametrize("rows", [[[0, 1]], [-1], [0, 4], [3, 26]],
+                             ids=["2-d", "negative", "at-T", "beyond-T"])
+    def test_bad_rows_rejected(self, rows):
+        model = build_dense_model(CFG, seed=17)
+        tokens, bounds = pack_sequences([[1, 2, 3], [4]])  # T = 4
+        with pytest.raises(ValueError, match=r"rows must be 1-d indices in \[0, 4\)"):
+            model.logits(tokens, bounds, rows=rows)
 
 
 def graph_nodes(root) -> int:
