@@ -191,6 +191,16 @@ def _report_curve(args, curve, n_examples: int) -> None:
             json.dump(curve, f)
 
 
+def _load_model(path: str, moe: bool):
+    """The model in the checkpoint at ``path``, which must be an MoE model if
+    ``moe`` and a dense one if not; a CheckpointError naming the file otherwise."""
+    model = load_checkpoint(path)
+    if model.is_moe != moe:
+        held, needed = ("an MoE", "a dense") if model.is_moe else ("a dense", "an MoE")
+        raise CheckpointError(f"{path!r} holds {held} model; this command needs {needed} model")
+    return model
+
+
 def cmd_init(args) -> int:
     if args.seq_len < MIN_SEQ_LEN:
         raise ValueError(f"--seq-len {args.seq_len} leaves no room for an output token; "
@@ -205,9 +215,7 @@ def cmd_init(args) -> int:
 
 
 def cmd_train_sft(args) -> int:
-    model = load_checkpoint(args.ckpt)
-    if model.is_moe:
-        raise CheckpointError(f"{args.ckpt!r} holds an MoE model; use train-moe")
+    model = _load_model(args.ckpt, moe=False)
     examples = load_instruction_dataset(args.data)
     hyper = _resolve_hyper(args, len(examples), args.epochs)
     curve = sft_train(model, examples, hyper)
@@ -219,7 +227,7 @@ def cmd_train_sft(args) -> int:
 
 
 def cmd_upcycle(args) -> int:
-    dense = load_checkpoint(args.ckpt)
+    dense = _load_model(args.ckpt, moe=False)
     cfg = MoEConfig(n_experts=args.experts, top_k=args.topk,
                     normalization_enabled=not args.no_normalization,
                     router_init_std=args.router_std)
@@ -232,9 +240,7 @@ def cmd_upcycle(args) -> int:
 def cmd_train_moe(args) -> int:
     if args.ewa_schedule is not None and args.ewa_beta is None:
         raise ValueError("--ewa-schedule needs --ewa-beta")
-    model = load_checkpoint(args.ckpt)
-    if not model.is_moe:
-        raise CheckpointError(f"{args.ckpt!r} holds a dense model; use train-sft")
+    model = _load_model(args.ckpt, moe=True)
     examples = load_instruction_dataset(args.data)
     hyper = _resolve_hyper(args, len(examples), args.epochs)
 
@@ -254,7 +260,7 @@ def cmd_train_moe(args) -> int:
 
 
 def cmd_learn_merge(args) -> int:
-    model = load_checkpoint(args.ckpt)
+    model = _load_model(args.ckpt, moe=True)
     examples = load_instruction_dataset(args.data)
     hyper = _resolve_hyper(args, len(examples), args.epochs)
     coeffs, curve = learn_mixing_coefficients(
@@ -274,9 +280,7 @@ def cmd_merge(args) -> int:
     if args.coeffs and args.shared_rate is not None:
         raise ValueError("--lambda sets initialized coefficients; it cannot go with --coeffs")
     lam = DEFAULT_SHARED_RATE if args.shared_rate is None else args.shared_rate
-    model = load_checkpoint(args.ckpt)
-    if not model.is_moe:
-        raise CheckpointError(f"{args.ckpt!r} holds a dense model; nothing to merge")
+    model = _load_model(args.ckpt, moe=True)
 
     if args.mode == "uniform":
         dense, mode, detail = merge_uniform(model), "uniform", "uniform"
@@ -319,9 +323,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_route_stats(args) -> int:
-    model = load_checkpoint(args.ckpt)
-    if not model.is_moe:
-        raise CheckpointError(f"{args.ckpt!r} holds a dense model; no routing to report")
+    model = _load_model(args.ckpt, moe=True)
     examples = load_instruction_dataset(args.data)
     sequences = [tokens for tokens, _ in encode_examples(examples, model.cfg.max_seq_len)]
     report = expert_load_histogram(model, sequences, corpus_label=os.path.basename(args.data))
@@ -363,9 +365,7 @@ def _verify_table(seed: int, moe):
 
 
 def cmd_verify(args) -> int:
-    moe = load_checkpoint(args.ckpt) if args.ckpt else None
-    if moe is not None and not moe.is_moe:
-        raise CheckpointError(f"{args.ckpt!r} holds a dense model; verify needs an MoE checkpoint")
+    moe = _load_model(args.ckpt, moe=True) if args.ckpt else None
     failures = 0
     for name, bound, measure in _verify_table(args.seed, moe):
         worst = measure()

@@ -13,9 +13,9 @@ activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
 rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
 op of its input, such as ``gelu``: the node replays that op's backward.
 ``expert_ffn`` is an MoE layer after its router as one node, over stacked
-[N, ...] expert weights, with one gating and combine for every call and only
-the experts' evaluation chosen per call; ``mix`` is the merge's convex mix of a
-stacked tensor.
+[N, ...] expert weights: one gating and combine for every call, the experts in
+one per-block loop or, in a graph-free one-row call, two batched products;
+``mix`` is the merge's convex mix of a stacked tensor.
 """
 
 from __future__ import annotations
@@ -236,29 +236,27 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _affine_grads(g: np.ndarray, x: np.ndarray, need_x: bool, w: Tensor, b: Tensor):
+def _affine_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, need_x, need_w, need_b):
     """Gradients of x @ w + b for x, w and b; None for an operand that needs none."""
-    gx = g @ w.data.T if need_x else None
-    gw = x.T @ g if w.requires_grad else None
-    gb = _sum_to_last_axis(g) if b.requires_grad else None
+    gx = g @ w.T if need_x else None
+    gw = x.T @ g if need_w else None
+    gb = _sum_to_last_axis(g) if need_b else None
     return gx, gw, gb
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: a matrix [N, n], weights [n, m], a bias [m]."""
-    return _make(_affine(x.data, w.data, b.data), (x, w, b),
-                 lambda g: _affine_grads(g, x.data, x.requires_grad, w, b))
+    return _make(_affine(x.data, w.data, b.data), (x, w, b), lambda g: _affine_grads(
+        g, x.data, w.data, x.requires_grad, w.requires_grad, b.requires_grad))
 
 
-def _ffn(x: np.ndarray, need_x: bool, w_up: Tensor, b_up: Tensor, w_down: Tensor,
-         b_down: Tensor, activation: Callable[[Tensor], Tensor]):
-    """activation(x @ w_up + b_up) @ w_down + b_down for an array x, and its
-    backward rule g -> (gx, gw_up, gb_up, gw_down, gb_down), None for an operand
-    that needs no gradient (x when ``need_x`` is False). The rule replays the
-    activation's recorded backward, so the activation must be a single tensor
-    op of its input; it is recorded even under ``no_grad``, so that holds there."""
+def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
+        activation: Callable[[Tensor], Tensor]) -> Tensor:
+    """activation(u @ w_up + b_up) @ w_down + b_down as one node; ``activation``
+    is a single tensor op of its input, such as ``gelu``, whose recorded backward the
+    node's rule replays. It is recorded even under ``no_grad``, so the check runs there."""
     global _GRAD_ENABLED
-    pre = Tensor(_affine(x, w_up.data, b_up.data), requires_grad=True)
+    pre = Tensor(_affine(u.data, w_up.data, b_up.data), requires_grad=True)
     recording, _GRAD_ENABLED = _GRAD_ENABLED, True
     try:
         act = activation(pre)
@@ -266,23 +264,15 @@ def _ffn(x: np.ndarray, need_x: bool, w_up: Tensor, b_up: Tensor, w_down: Tensor
         _GRAD_ENABLED = recording
     if len(act._parents) != 1 or act._parents[0] is not pre:
         raise ValueError("ffn activation must be a single tensor op of its input")
-    need_up = need_x or w_up.requires_grad or b_up.requires_grad
+    need = [p.requires_grad for p in (u, w_up, b_up, w_down, b_down)]
 
     def bw(g):
-        ga, gw_down, gb_down = _affine_grads(g, act.data, need_up, w_down, b_down)
+        ga, *down = _affine_grads(g, act.data, w_down.data, any(need[:3]), *need[3:])
         if ga is None:
-            return None, None, None, gw_down, gb_down
-        return (*_affine_grads(act._backward_fn(ga)[0], x, need_x, w_up, b_up), gw_down, gb_down)
+            return None, None, None, *down
+        return (*_affine_grads(act._backward_fn(ga)[0], u.data, w_up.data, *need[:3]), *down)
 
-    return _affine(act.data, w_down.data, b_down.data), bw
-
-
-def ffn(u: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor, b_down: Tensor,
-        activation: Callable[[Tensor], Tensor]) -> Tensor:
-    """activation(u @ w_up + b_up) @ w_down + b_down as one node; ``activation``
-    is a single tensor op of its input, such as ``gelu``."""
-    out, bw = _ffn(u.data, u.requires_grad, w_up, b_up, w_down, b_down, activation)
-    return _make(out, (u, w_up, b_up, w_down, b_down), bw)
+    return _make(_affine(act.data, w_down.data, b_down.data), (u, w_up, b_up, w_down, b_down), bw)
 
 
 def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_down: Tensor,
@@ -299,15 +289,13 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
 
         h = u + (1 - s_max) FFN_0(u) + sum over j of gates[t, j] FFN_{1 + sel[t, j]}(u).
 
-    Each FFN is ``ffn`` with ``gelu``, looked up when called. Every call sorts
-    the (token, slot) pairs stably by expert, gates the routed rows and sums
-    each token's slots back; ``gates`` [T, 1 + r] lists the shared gate first.
-    Only the experts' evaluation differs. A recording call runs each expert once
-    through ``_ffn`` on its contiguous block of rows; an expert without rows gets
-    a zero gradient slice. Without a graph the node builds no Tensor but its
-    output: each block runs ``_ffn``'s arithmetic with ``gelu``'s forward
-    ``_gelu_tanh``, and a one-row call runs all N experts as two batched products
-    over the stacked weights, then picks its rows."""
+    Each FFN is ``ffn`` with ``gelu`` (``_gelu_tanh`` and ``_gelu_grad``, looked up
+    when called). Every call sorts the (token, slot) pairs stably by expert, gates
+    the routed rows and sums each token's slots back; ``gates`` [T, 1 + r] lists the
+    shared gate first. The node builds no Tensor but its output. A graph-free
+    one-row call runs all N experts as two batched products, then picks its rows;
+    any other call runs each expert once on its contiguous block of rows, and a
+    recording one keeps each block's pre-activation, activation and tanh term."""
     sel = np.asarray(sel, dtype=np.intp)
     weights = (w_up, b_up, w_down, b_down)
     n = w_up.shape[0] - 1
@@ -346,35 +334,39 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
         blocks = [(e + 1, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
         rows = u.data[order // r]
         runs = [(0, u.data)] + [(e, rows[lo:hi]) for e, lo, hi in blocks]  # (expert, its rows)
-        if recording:  # each expert through _ffn on views of its weights, with a backward rule
-            outs, rules = zip(*(_ffn(x, u.requires_grad, *(Tensor(w.data[e], w.requires_grad)
-                                                          for w in weights), gelu) for e, x in runs))
-        else:  # _ffn's arithmetic without its recorded GELU, faster at serve's 20-100 rows
-            outs = [_affine(_gelu_tanh(_affine(x, w_up.data[e], b_up.data[e]))[0],
-                            w_down.data[e], b_down.data[e]) for e, x in runs]
+        outs, kept = [], []  # kept: (pre, act, tanh) per block, if recording
+        for e, x in runs:
+            pre = _affine(x, w_up.data[e], b_up.data[e])
+            act, tanh = _gelu_tanh(pre)
+            outs.append(_affine(act, w_down.data[e], b_down.data[e]))
+            if recording:
+                kept.append((pre, act, tanh))
+            del pre, act, tanh  # held into the next block, they raised large calls' page faults
         y0, outs = outs[0], np.concatenate(outs[1:])
     routed = gate_rows * outs
     h = u.data + shared_gate * y0
     h += _slot_sum(routed, order, r)
     if not recording:
         return Tensor(h), gates
+    need = [p.requires_grad for p in (u, *weights)]
 
     def bw(g):
         gs = g[order // r]
         gg = (_slot_sum((gs * outs).sum(axis=1, keepdims=True), order, 1).reshape(sel.shape)
               if scores.requires_grad else None)
         gs *= gate_rows
-        grads = [np.zeros_like(w.data) if w.requires_grad else None for w in weights]
+        grads = [np.zeros_like(w.data) if need_w else None for w, need_w in zip(weights, need[1:])]
         gxs = []
-        for (e, _), rule, g_run in zip(runs, rules, [g * shared_gate] + [
+        for (e, x), (pre, act, tanh), ge in zip(runs, kept, [g * shared_gate] + [
                 gs[lo:hi] for _, lo, hi in blocks]):
-            gx, *expert_grads = rule(g_run)
+            ga, *down = _affine_grads(ge, act, w_down.data[e], True, *need[3:])
+            gx, *up = _affine_grads(_gelu_grad(pre, tanh, ga), x, w_up.data[e], *need[:3])
+            del ga  # held into the next block, it raised the call's peak memory
             gxs.append(gx)
-            for buf, gw in zip(grads, expert_grads):
+            for buf, gw in zip(grads, up + down):
                 if buf is not None:
                     buf[e] = gw  # an expert without rows keeps a zero slice
-        gu = ((g + gxs[0]) + _slot_sum(np.concatenate(gxs[1:]), order, r)
-              if u.requires_grad else None)
+        gu = (g + gxs[0]) + _slot_sum(np.concatenate(gxs[1:]), order, r) if need[0] else None
         g_scores = None
         if scores.requires_grad:  # the gate product, 1 - s_max and softmax rules, both scatters
             g_smax = -(g * y0).sum(axis=1, keepdims=True)
@@ -596,28 +588,29 @@ def _gelu_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, t
 
 
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times GELU's derivative at x, from ``_gelu_tanh``'s tanh term t."""
+    # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), rounded term by term as above
+    term = x * (3.0 * _GELU_A)
+    term *= x
+    term += 1.0
+    term *= _GELU_C
+    dy = t * t
+    np.subtract(1.0, dy, out=dy)
+    dy *= x * 0.5
+    dy *= term
+    np.add(t, 1.0, out=term)
+    term *= 0.5
+    dy += term
+    dy *= g
+    return dy
+
+
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
     x = a.data
     y, t = _gelu_tanh(x)
-
-    def bw(g):
-        # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), rounded term by term as above
-        term = x * (3.0 * _GELU_A)
-        term *= x
-        term += 1.0
-        term *= _GELU_C
-        dy = t * t
-        np.subtract(1.0, dy, out=dy)
-        dy *= x * 0.5
-        dy *= term
-        np.add(t, 1.0, out=term)
-        term *= 0.5
-        dy += term
-        dy *= g
-        return (dy,)
-
-    return _make(y, (a,), bw)
+    return _make(y, (a,), lambda g: (_gelu_grad(x, t, g),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

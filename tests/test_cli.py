@@ -189,19 +189,25 @@ class TestIOErrors:
 
     @pytest.mark.parametrize("command, holds, flags", [
         ("train-sft", "an MoE", ("--data", "DATA", "--out", "OUT")),
+        ("upcycle", "an MoE", ("--out", "OUT")),
+        ("train-moe", "a dense", ("--data", "DATA", "--out", "OUT")),
+        ("learn-merge", "a dense", ("--data", "MISSING", "--out", "OUT")),
         ("merge", "a dense", ("--out", "OUT")),
         ("route-stats", "a dense", ("--data", "DATA", "--out", "OUT")),
         ("verify", "a dense", ()),
-    ], ids=["train-sft-on-moe", "merge-on-dense", "route-stats-on-dense", "verify-on-dense"])
+    ], ids=["train-sft-on-moe", "upcycle-on-moe", "train-moe-on-dense", "learn-merge-on-dense",
+            "merge-on-dense", "route-stats-on-dense", "verify-on-dense"])
     def test_wrong_model_kind_writes_nothing(self, workspace, capsys, command, holds, flags):
+        # the checkpoint is checked when it is loaded, before the dataset is read
         tmp_path, dense, data = workspace
         ckpt, out = dense, tmp_path / "out"
         if holds == "an MoE":
             ckpt = str(tmp_path / "moe.xftc")
             run("upcycle", "--ckpt", dense, "--out", ckpt, "--experts", "4", "--topk", "3")
-        argv = [{"DATA": data, "OUT": str(out)}.get(a, a) for a in flags]
+        argv = [{"DATA": data, "MISSING": str(tmp_path / "missing.jsonl"), "OUT": str(out)}.get(a, a)
+                for a in flags]
         assert run(command, "--ckpt", ckpt, *argv) == EXIT_IO
-        assert f"holds {holds} model" in capsys.readouterr().err
+        assert f"{ckpt!r} holds {holds} model" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-sft", "train-moe", "learn-merge"])

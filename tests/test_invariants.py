@@ -26,20 +26,24 @@ def test_zero_gradient_elements_pass(seed):
     assert max(errors.values()) < 1e-3, errors
 
 
-def skewed(activation):
-    """``activation`` with a backward 1% too large and the forward unchanged;
-    one op of its input, as ``tn.ffn`` requires of an activation."""
+def skewed(grad):
+    """GELU's derivative helper with a result 1% too large; the forward is unchanged."""
+    return lambda x, t, g: grad(x, t, g) * 1.01
+
+
+def gelu_with(grad):
+    """``tn.gelu`` with ``grad`` bound as its derivative helper."""
     def act(a: Tensor) -> Tensor:
-        y = activation(a)
-        return tn._make(y.data, (a,), lambda g: (y._backward_fn(g)[0] * 1.01,))
+        y, t = tn._gelu_tanh(a.data)
+        return tn._make(y, (a,), lambda g: (grad(a.data, t, g),))
     return act
 
 
 @pytest.mark.parametrize("seed", [0, 17, 29])
 def test_one_percent_backward_error_fails_every_row(seed, monkeypatch):
-    # dense FFNs take GELU from ``ffn_forward``'s default, MoE experts from ``tn.gelu``
-    monkeypatch.setattr(ffn_forward, "__defaults__", (skewed(tn.gelu),))
-    monkeypatch.setattr(tn, "gelu", skewed(tn.gelu))
+    # ``tn.gelu``'s rule (the dense FFNs) and ``tn.expert_ffn`` (the MoE experts)
+    # both look ``tn._gelu_grad`` up when called
+    monkeypatch.setattr(tn, "_gelu_grad", skewed(tn._gelu_grad))
     errors = check_at(seed)
     assert set(errors) == {"dense", "moe", "mixing"}
     assert min(errors.values()) >= 1e-3, errors
@@ -47,8 +51,9 @@ def test_one_percent_backward_error_fails_every_row(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 17, 29])
 def test_one_percent_routed_expert_error_fails_the_moe_row(seed, monkeypatch):
-    # ``tn.expert_ffn`` looks ``tn.gelu`` up when called; ``ffn_forward`` bound
-    # it at import, so the skew reaches the MoE experts and nothing else.
-    monkeypatch.setattr(tn, "gelu", skewed(tn.gelu))
+    # the dense FFNs keep a GELU bound to the exact helper, so the skew reaches
+    # the MoE experts and nothing else
+    monkeypatch.setattr(ffn_forward, "__defaults__", (gelu_with(tn._gelu_grad),))
+    monkeypatch.setattr(tn, "_gelu_grad", skewed(tn._gelu_grad))
     errors = check_at(seed)
     assert errors["moe"] >= 1e-3 and errors["dense"] < 1e-3, errors

@@ -398,7 +398,8 @@ class TestExpertFFN:
     def test_no_grad_records_no_graph(self):
         """Without a graph the node returns a leaf with the graph-mode and composed
         bits, on the one-row batched path and on the block path."""
-        for rows, dtype, normalized in itertools.product([1, 33, 238], [np.float32, np.float64],
+        for rows, dtype, normalized in itertools.product([1, 2, 4, 33, 238],
+                                                         [np.float32, np.float64],
                                                          [True, False]):
             sel, shapes = routed(rows, seed=rows)
             rng = np.random.default_rng(1)
@@ -414,6 +415,21 @@ class TestExpertFFN:
             assert np.array_equal(out.data, composed.data)
             assert np.array_equal(gates, tracked_gates) and np.array_equal(gates, composed_gates)
             assert gates.shape == (rows, 6)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["recording", "no_grad"])
+    def test_builds_one_tensor_its_output(self, grad, monkeypatch):
+        """Recording and graph-free multi-row calls evaluate the experts on arrays."""
+        sel, shapes = routed(33)
+        rng = np.random.default_rng(2)
+        u, scores, *weights = (tn.Tensor(rng.normal(size=s), requires_grad=True)
+                               for s in shapes)
+        built, init = [], tn.Tensor.__init__
+        monkeypatch.setattr(tn.Tensor, "__init__",
+                            lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+        with contextlib.nullcontext() if grad else tn.no_grad():
+            out, _ = tn.expert_ffn(u, scores, sel, *weights, True)
+        assert out.requires_grad == grad
+        assert len(built) == 1 and built[0] is out
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,d,f", [(2, 12, 20), (4, 7, 33), (16, 24, 9)])
