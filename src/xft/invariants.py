@@ -18,6 +18,10 @@ from xft.model import (FFNWeights, ModelConfig, Transformer, attention_forward,
 from xft.moe import MoEConfig, MoELayer, upcycle_dense_to_moe
 from xft.tensor import Tensor
 
+GATE_SUM_TOKENS = 100  # rows per random gate-sum batch
+ENSEMBLE_SEQ_LEN = 8  # tokens per ensemble-identity input
+EWA_CHECK_STEPS = 3  # EWA steps checked against the closed form, at EWA_DEFAULT_BETA
+
 
 def init_equivalence_check(dense: Transformer, combos, inputs, seed: int) -> float:
     """Max logit deviation between ``dense`` and its upcycled MoE, router seed
@@ -32,9 +36,9 @@ def init_equivalence_check(dense: Transformer, combos, inputs, seed: int) -> flo
     return worst
 
 
-def gate_sum_check(model: Transformer, seed: int, batches: int = 5, tokens: int = 100) -> float:
+def gate_sum_check(model: Transformer, seed: int, batches: int = 5) -> float:
     """Max |sum of a token's K gates - 1| over ``batches`` random inputs of
-    ``tokens`` rows per MoE layer, summed in the gates' own dtype."""
+    ``GATE_SUM_TOKENS`` rows per MoE layer, summed in the gates' own dtype."""
     if not model.is_moe:
         raise ValueError("gate_sum_check needs an MoE model")
     rng = np.random.default_rng(seed)
@@ -42,7 +46,7 @@ def gate_sum_check(model: Transformer, seed: int, batches: int = 5, tokens: int 
     with tn.no_grad():
         for block in model.blocks:
             for _ in range(batches):
-                u = Tensor(rng.normal(scale=2.0, size=(tokens, model.cfg.d_model))
+                u = Tensor(rng.normal(scale=2.0, size=(GATE_SUM_TOKENS, model.cfg.d_model))
                            .astype(np.float32))
                 _, record = block.slot.forward(u)
                 worst = max(worst, float(np.abs(record.gates.sum(axis=1) - 1.0).max()))
@@ -81,14 +85,13 @@ def gradient_check(cfg: ModelConfig, tokens, mask, seed: int,
     }
 
 
-def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
-                            seq_len: int = 8) -> float:
+def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100) -> float:
     """Max logit deviation between a one-layer model whose FFN output is the
     fixed-gate mix u + (1 - alpha) * expert_0(u) + alpha * expert_1(u) and the
     same gate-weighted sum of the two one-expert dense models' logits; the
     unembedding follows the mix directly."""
     cfg = ModelConfig(vocab_size=23, d_model=16, n_layers=1, n_heads=2, d_ff=24,
-                      max_seq_len=max(seq_len, 2))
+                      max_seq_len=ENSEMBLE_SEQ_LEN)
     rng = np.random.default_rng(seed)
     base = build_dense_model(cfg, seed=seed)
     block = base.blocks[0]
@@ -98,9 +101,9 @@ def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
     worst = 0.0
     with tn.no_grad():
         for _ in range(n_inputs):
-            tokens = rng.integers(0, cfg.vocab_size, size=seq_len)
+            tokens = rng.integers(0, cfg.vocab_size, size=ENSEMBLE_SEQ_LEN)
             x = tn.gather_rows(base.tok_emb, tokens) + tn.gather_rows(
-                base.pos_emb, np.arange(seq_len))
+                base.pos_emb, np.arange(ENSEMBLE_SEQ_LEN))
             u = attention_forward(x, block, cfg)
 
             h_moe = sum((ffn_forward(u, e) * float(g) for g, e in zip(gates, experts)), u)
@@ -114,17 +117,17 @@ def ensemble_identity_check(alpha: float, seed: int, n_inputs: int = 100,
     return worst
 
 
-def ewa_closed_form_check(beta: float = EWA_DEFAULT_BETA, steps: int = 3) -> float:
-    """Max error of ``steps`` EWA steps on two scalar experts {0, 1} against
-    the closed form: each step shrinks every deviation from the (invariant)
-    mean 1/2 by the factor 1 - beta."""
+def ewa_closed_form_check() -> float:
+    """Max error of ``EWA_CHECK_STEPS`` EWA steps at ``EWA_DEFAULT_BETA`` on two
+    scalar experts {0, 1} against the closed form: each step shrinks every
+    deviation from the (invariant) mean 1/2 by the factor 1 - beta."""
     experts = FFNWeights(Tensor(np.array([[[0.0]], [[1.0]]], dtype=np.float32)),
                          Tensor(np.zeros((2, 1), dtype=np.float32)),
                          Tensor(np.ones((2, 1, 1), dtype=np.float32)),
                          Tensor(np.zeros((2, 1), dtype=np.float32)))
     layer = MoELayer(experts, Tensor(np.zeros((2, 1), dtype=np.float32)), MoEConfig(2, 2))
-    for _ in range(steps):
-        ewa_step(layer, beta)
-    decay = (1.0 - beta) ** steps
+    for _ in range(EWA_CHECK_STEPS):
+        ewa_step(layer, EWA_DEFAULT_BETA)
+    decay = (1.0 - EWA_DEFAULT_BETA) ** EWA_CHECK_STEPS
     got = layer.weights.w_up.data[:, 0, 0]
     return float(np.abs(got - [0.5 - 0.5 * decay, 0.5 + 0.5 * decay]).max())

@@ -90,7 +90,11 @@ class MixingCoefficients:
         if not (type(n) is int and (lam is None or _is_number(lam)) and isinstance(rows, list)
                 and all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)):
             raise ValueError("coefficient fields have the wrong types")
-        logits = [Tensor(np.asarray(row, dtype=np.float32), requires_grad=True) for row in rows]
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below, by layer
+            logits = [Tensor(np.asarray(row, dtype=np.float32), requires_grad=True) for row in rows]
+        for layer, t in enumerate(logits):
+            if not np.isfinite(t.data).all():
+                raise ValueError(f"coefficient logits of layer {layer} are not finite in float32")
         return cls(logits, None if lam is None else float(lam), n)
 
 

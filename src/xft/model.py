@@ -396,9 +396,8 @@ def model_forward_loss(model: Transformer, tokens, loss_mask, bounds=None,
 
     rows = np.flatnonzero(target_mask)
     logits = model.logits(tokens[is_input], in_bounds, rows=rows)
-    logp = tn.log_softmax(logits)
-    picked = tn.take_along_rows(logp, tokens[is_target][rows, None])
-    loss = -(picked * Tensor(weights[rows, None].astype(logits.data.dtype))).sum()
+    nll = tn.nll(logits, tokens[is_target][rows])
+    loss = (nll * Tensor(weights[rows, None].astype(logits.data.dtype))).sum()
     return logits, loss
 
 

@@ -88,8 +88,7 @@ class MoELayer:
 
     def normal_affinities(self, u: Tensor) -> Tensor:
         """Softmax affinities of the normal experts, [T, N-1], gradient-tracked."""
-        normal_centroids = tn.gather_rows(self.centroids, np.arange(1, self.cfg.n_experts))
-        return tn.softmax(u @ normal_centroids.transpose())
+        return tn.affinities(u, self.centroids)
 
     def forward(self, u: Tensor):
         """The residual u plus the gated shared and selected experts (one

@@ -8,14 +8,13 @@ reverse topological order and accumulates gradients into the leaves.
 Broadcasting is deliberately limited to what the transformer needs: scaling
 by a Python scalar. Anything else raises.
 
-Dense layers are fused nodes: ``linear`` is x @ w + b and ``ffn`` is
-activation(u @ w_up + b_up) @ w_down + b_down, each one node with one backward
-rule, bit-identical to the composed ops. ``ffn``'s activation must be a single
-op of its input, such as ``gelu``: the node replays that op's backward.
-``expert_ffn`` is an MoE layer after its router as one node, over stacked
-[N, ...] expert weights: one gating and combine for every call, the experts in
-one per-block loop or, in a graph-free one-row call, two batched products;
-``mix`` is the merge's convex mix of a stacked tensor.
+Model components are fused nodes, one backward rule each and bit-identical to
+the composed ops: ``linear`` (x @ w + b), ``ffn`` (activation(u @ w_up + b_up)
+@ w_down + b_down, the activation a single op such as ``gelu``, whose backward
+the node replays), the MoE router ``affinities``, ``expert_ffn`` (the MoE layer
+after its router, over stacked [N, ...] expert weights: one gating and combine,
+the experts in one per-block loop or, graph-free on one row, two batched
+products), the loss head ``nll`` and the merge's convex ``mix``.
 """
 
 from __future__ import annotations
@@ -101,12 +100,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -115,9 +108,6 @@ class Tensor:
 
     def sum(self):
         return tsum(self)
-
-    def transpose(self):
-        return transpose(self)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -176,20 +166,13 @@ def backward(root: Tensor) -> None:
             node.grad = g.copy() if node.grad is None else node.grad + g
 
 
-def _is_scalar_number(x) -> bool:
-    return isinstance(x, (int, float, np.floating, np.integer))
-
-
 def _sum_to_last_axis(g: np.ndarray) -> np.ndarray:
     """Reduce a gradient to a 1-d bias shape by summing leading axes."""
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """a + b for a Python scalar b or a tensor b of a's shape."""
-    if _is_scalar_number(b):
-        c = float(b)
-        return _make(a.data + c, (a,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for a tensor b of a's shape."""
     if not isinstance(b, Tensor):
         raise TypeError(f"cannot add Tensor and {type(b).__name__}")
     if a.shape != b.shape:
@@ -197,13 +180,9 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     """a * b for a Python scalar b or a tensor b of a's shape."""
-    if _is_scalar_number(b):
+    if isinstance(b, (int, float, np.floating, np.integer)):
         c = float(b)
         return _make(a.data * c, (a,), lambda g: (g * c,))
     if not isinstance(b, Tensor):
@@ -312,9 +291,7 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
     s_max = picked[:, :1]
     shared_gate = 1.0 - s_max
     if normalized:  # softmax(picked) * s_max
-        soft = picked - np.maximum.reduce(picked, axis=1, keepdims=True)
-        np.exp(soft, out=soft)
-        soft /= np.add.reduce(soft, axis=1, keepdims=True)
+        soft = _softmax(picked)
         normal_gates = s_max * soft
     else:
         normal_gates = picked
@@ -373,7 +350,7 @@ def expert_ffn(u: Tensor, scores: Tensor, sel, w_up: Tensor, b_up: Tensor, w_dow
             if normalized:
                 g_soft = gg * s_max
                 g_smax += (gg * soft).sum(axis=1, keepdims=True)
-                gg = (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True)) * soft
+                gg = _softmax_grad(g_soft, soft)
             g_scores = np.zeros_like(scores.data)  # sel's rows are distinct: += adds each once
             g_scores[token, sel] += gg
             g_scores[token, sel[:, :1]] += g_smax
@@ -402,12 +379,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _make(np.concatenate([p.data for p in parts]), tuple(parts), lambda g: np.split(g, ends))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError(f"transpose expects a matrix, got shape {a.shape}")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def tsum(a: Tensor) -> Tensor:
     def bw(g):
         return (np.broadcast_to(g, a.shape),)
@@ -429,21 +400,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(a.data[idx], (a,), bw)
 
 
-def take_along_rows(a: Tensor, indices) -> Tensor:
-    """out[i, j] = a[i, indices[i, j]] for a matrix a and [T, k] indices."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
-        raise ValueError(f"take_along_rows shape mismatch: {a.shape} with indices {idx.shape}")
-    rows = np.arange(a.shape[0])[:, None]
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (np.broadcast_to(rows, idx.shape), idx), g)
-        return (ga,)
-
-    return _make(np.take_along_axis(a.data, idx, axis=1), (a,), bw)
-
-
 def _slot_sum(slots: np.ndarray, order: np.ndarray, group: int) -> np.ndarray:
     """Undo the permutation ``order`` of slot rows, then sum each row's
     ``group`` consecutive slots: [R * group, d] -> [R, d]."""
@@ -452,18 +408,48 @@ def _slot_sum(slots: np.ndarray, order: np.ndarray, group: int) -> np.ndarray:
     return unsorted.reshape(-1, group, slots.shape[1]).sum(axis=1)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax along the last axis; positive, each row sums to 1."""
+    y = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient into a softmax's input from g at its output y."""
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
 def softmax(a: Tensor) -> Tensor:
     """Max-subtracted softmax along the last axis; output is positive and sums to 1."""
     if not np.isfinite(a.data).all():
         raise ValueError("softmax input contains non-finite values")
-    e = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    y = _softmax(a.data)
+    return _make(y, (a,), lambda g: (_softmax_grad(g, y),))
+
+
+def affinities(u: Tensor, centroids: Tensor) -> Tensor:
+    """The MoE router: softmax(u @ centroids[1:].T), the normal experts' [T, N-1]
+    affinities; centroid row 0, the shared expert's, takes no part and gets a zero
+    gradient."""
+    if u.ndim != 2 or centroids.ndim != 2 or u.shape[1] != centroids.shape[1]:
+        raise ValueError(f"affinities shape mismatch: u {u.shape}, centroids {centroids.shape}")
+    ct = np.ascontiguousarray(centroids.data[1:].T)
+    scores = u.data @ ct
+    if not np.isfinite(scores).all():
+        raise ValueError("softmax input contains non-finite values")
+    y = _softmax(scores)
 
     def bw(g):
-        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
+        gs = _softmax_grad(g, y)
+        gc = None
+        if centroids.requires_grad:
+            gc = np.zeros_like(centroids.data)
+            gc[1:] += (u.data.T @ gs).T
+        return gs @ ct.T if u.requires_grad else None, gc
 
-    return _make(y, (a,), bw)
+    return _make(y, (u, centroids), bw)
 
 
 def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
@@ -561,16 +547,23 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
     return _make(out, (q, k, v), bw)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    if not np.isfinite(a.data).all():
+def nll(logits: Tensor, targets) -> Tensor:
+    """-log softmax(logits)[i, targets[i]] for each row i of a matrix, as [R, 1]."""
+    idx = np.asarray(targets, dtype=np.intp)
+    if logits.ndim != 2 or idx.shape != logits.shape[:1]:
+        raise ValueError(f"nll shape mismatch: {logits.shape} with targets {idx.shape}")
+    if not np.isfinite(logits.data).all():
         raise ValueError("log_softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(idx.size)
 
     def bw(g):
-        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
+        gl = np.zeros_like(logp)
+        gl[rows, idx] -= g[:, 0]
+        return (gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True),)
 
-    return _make(y, (a,), bw)
+    return _make(-logp[rows, idx, None], (logits,), bw)
 
 
 def _gelu_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

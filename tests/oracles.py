@@ -2,12 +2,16 @@
 ``MoELayer.forward``, which routes whole batches as arrays, uncached greedy
 decoding for ``generate_greedy``, which runs each new token against a
 key/value cache, the all-rows loss for ``model_forward_loss``, which runs the
-last slot and the output head on the scored rows only, the composed expressions that ``tn.linear``, ``tn.ffn``,
-``tn.expert_ffn`` and ``tn.mix`` compute as one node each (``expert_ffn`` as
-the MoE layer's graph ops after its router, with the routed experts' composed
-dispatch; ``mix`` as the learned merge's per-expert products and sums), with
-the bias add, broadcast products, complement, row and slice ops they are
-built from, the ``reshape`` and ``identity`` ops the tests use, layer
+last slot and the output head on the scored rows only, the composed
+expressions that ``tn.linear``, ``tn.ffn``, ``tn.affinities``,
+``tn.expert_ffn``, ``tn.nll`` and ``tn.mix`` compute as one node each
+(``affinities`` as the router's gather, transpose, product and softmax;
+``expert_ffn`` as the MoE layer's graph ops after its router, with the routed
+experts' composed dispatch; ``nll`` as log-softmax, target pick and negation;
+``mix`` as the learned merge's per-expert products and sums), with the bias
+add, scalar add, negation, transpose, log-softmax, broadcast products,
+complement, row and slice ops they are built from, the ``reshape`` and
+``identity`` ops the tests use, layer
 normalization with ``.mean``, GELU as whole-array expressions, which
 ``tn.gelu`` evaluates in place, and the checkpoint's per-expert parameter
 names. The system itself never calls these."""
@@ -140,9 +144,8 @@ def forward_loss_all_rows(model, tokens, loss_mask, bounds=None, per_token: bool
     else:
         weights = target_mask / np.repeat(n_targets * n_targets.size, np.diff(in_bounds))
     logits = model.logits(tokens[is_input], in_bounds)
-    logp = tn.log_softmax(logits)
-    picked = tn.take_along_rows(logp, tokens[is_target][:, None])
-    loss = -(picked * Tensor(weights[:, None].astype(logits.data.dtype))).sum()
+    picked = take_along_rows(log_softmax(logits), tokens[is_target][:, None])
+    loss = neg((picked * Tensor(weights[:, None].astype(logits.data.dtype))).sum())
     return logits, loss
 
 
@@ -157,6 +160,60 @@ def add_bias(a, b):
 def rsub(c: float, a):
     """c - a for a Python scalar c, such as the shared gate 1 - s_max."""
     return tn._make(float(c) - a.data, (a,), lambda g: (-g,))
+
+
+def radd(c: float, a):
+    """c + a for a Python scalar c, such as the 0 a sum of terms starts from."""
+    return tn._make(float(c) + a.data, (a,), lambda g: (g,))
+
+
+def neg(a):
+    """-a, such as the loss's sign."""
+    return tn._make(-a.data, (a,), lambda g: (-g,))
+
+
+def transpose(a):
+    """The transpose of a matrix."""
+    if a.ndim != 2:
+        raise ValueError(f"transpose expects a matrix, got shape {a.shape}")
+    return tn._make(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def take_along_rows(a, indices):
+    """out[i, j] = a[i, indices[i, j]] for a matrix a and [T, k] indices."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
+        raise ValueError(f"take_along_rows shape mismatch: {a.shape} with indices {idx.shape}")
+    rows = np.arange(a.shape[0])[:, None]
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (np.broadcast_to(rows, idx.shape), idx), g)
+        return (ga,)
+
+    return tn._make(np.take_along_axis(a.data, idx, axis=1), (a,), bw)
+
+
+def log_softmax(a):
+    """Max-subtracted log-softmax along the last axis."""
+    if not np.isfinite(a.data).all():
+        raise ValueError("log_softmax input contains non-finite values")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return tn._make(y, (a,), lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
+
+
+def affinities_composed(u, centroids):
+    """``tn.affinities`` as the four nodes it replaces: the normal experts'
+    centroid rows gathered, transposed, the product and the softmax."""
+    normal = tn.gather_rows(centroids, np.arange(1, centroids.shape[0]))
+    return tn.softmax(u @ transpose(normal))
+
+
+def nll_composed(logits, targets):
+    """``tn.nll`` as the three nodes it replaces: log-softmax, the target pick
+    and the negation."""
+    return neg(take_along_rows(log_softmax(logits), np.asarray(targets)[:, None]))
 
 
 def bmul(a, b):
@@ -332,9 +389,9 @@ def moe_layer_composed(u, scores, sel, w_up, b_up, w_down, b_down, normalized):
     stacked = FFNWeights(w_up, b_up, w_down, b_down)
     experts = [list(expert_weights(stacked, e).tensors().values())
                for e in range(w_up.shape[0])]
-    s_max = tn.take_along_rows(scores, sel[:, :1])
+    s_max = take_along_rows(scores, sel[:, :1])
     shared_gate = rsub(1.0, s_max)
-    picked = tn.take_along_rows(scores, sel)
+    picked = take_along_rows(scores, sel)
     normal_gates = bmul(tn.softmax(picked), s_max) if normalized else picked
     h = u + bmul(tn.ffn(u, *experts[SHARED_EXPERT], tn.gelu), shared_gate)
     h = h + expert_ffn_composed(u, normal_gates, sel, experts[1:])
@@ -356,4 +413,5 @@ def mix_composed(stacked, coefs):
     """``tn.mix`` as one product and one sum per expert: sum of coefs[e] *
     stacked[e] for float or size-1 Tensor coefficients. The sum starts from 0,
     so a -0.0 term mixes to +0.0."""
-    return sum((bmul(take(stacked, e), c) for e, c in enumerate(coefs)), 0)
+    first, *rest = (bmul(take(stacked, e), c) for e, c in enumerate(coefs))
+    return sum(rest, radd(0.0, first))

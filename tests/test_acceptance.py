@@ -21,6 +21,7 @@ from xft.checkpoint import load_checkpoint
 from xft.cli import EXIT_OK, cli_dispatch
 from xft.dataset import save_instruction_dataset
 from xft.invariants import (
+    GATE_SUM_TOKENS,
     ensemble_identity_check,
     ewa_closed_form_check,
     gate_sum_check,
@@ -103,8 +104,8 @@ def test_criterion_2_scale_mismatch_witness():
 @acceptance(3, "gate-sum")
 def test_criterion_3_gate_sum():
     moe = upcycle_dense_to_moe(build_dense_model(desk_cfg(), seed=3), MoEConfig(8, 6), seed=4)
-    worst = gate_sum_check(moe, seed=5, batches=5, tokens=100)
-    checked = len(moe.blocks) * 5 * 100  # 2 layers x 5 batches x 100 tokens
+    worst = gate_sum_check(moe, seed=5, batches=5)
+    checked = len(moe.blocks) * 5 * GATE_SUM_TOKENS  # 2 layers x 5 batches x 100 tokens
     assert checked >= 1000
     assert worst < 1e-5
     return f"max |gate sum - 1| = {worst:.2e} over {checked} random routings"
@@ -239,7 +240,7 @@ def test_criterion_8_ensemble_identity():
 @acceptance(9, "EWA oracle")
 def test_criterion_9_ewa_oracle():
     beta = 0.3
-    err = ewa_closed_form_check(beta, steps=3)
+    err = ewa_closed_form_check()
     assert err < 1e-6
 
     # the EWA finalization is uniform averaging of the final experts

@@ -322,6 +322,13 @@ class TestCoefficientFiles:
         obj["logits"][0][0] = float("nan")
         assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
 
+    @pytest.mark.parametrize("value", [float("nan"), 1e308, 1e39])
+    def test_logit_not_finite_in_float32_is_named_by_layer(self, workspace, capsys, value):
+        obj = coeffs_obj()
+        obj["logits"][1][0] = value
+        assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
+        assert "logits of layer 1 are not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("soup, mode", [(False, "xft"), (True, "soup")])
     def test_coeffs_file_sets_the_recorded_mode(self, workspace, soup, mode):
         tmp_path, dense, _ = workspace

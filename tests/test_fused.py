@@ -1,11 +1,13 @@
 """The fused nodes change no output: a seeded pipeline run with ``tn.linear``,
-``tn.ffn`` and ``tn.expert_ffn`` (an MoE layer after its router) gives the
-same bytes as one run with the composed expressions they replace."""
+``tn.ffn``, ``tn.affinities`` (the MoE router), ``tn.expert_ffn`` (an MoE layer
+after its router) and ``tn.nll`` (the loss head) gives the same bytes as one run
+with the composed expressions they replace."""
 
 import numpy as np
 
 from conftest import make_smoke_corpus
-from oracles import ffn_composed, linear_composed, moe_layer_composed
+from oracles import (affinities_composed, ffn_composed, linear_composed, moe_layer_composed,
+                     nll_composed)
 from xft import tensor as tn
 from xft.merge import learn_mixing_coefficients, merge_xft
 from xft.model import ModelConfig, build_dense_model, generate_greedy
@@ -43,6 +45,8 @@ def test_pipeline_is_byte_identical_to_the_composed_ops(monkeypatch):
     monkeypatch.setattr(tn, "linear", linear_composed)
     monkeypatch.setattr(tn, "ffn", ffn_composed)
     monkeypatch.setattr(tn, "expert_ffn", moe_layer_composed)
+    monkeypatch.setattr(tn, "affinities", affinities_composed)
+    monkeypatch.setattr(tn, "nll", nll_composed)
     composed = run_pipeline()
     assert fused["params"].keys() == composed["params"].keys()
     for name, data in fused["params"].items():

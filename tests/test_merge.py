@@ -86,7 +86,8 @@ class TestMixNode:
             c = alphas(0)
             mixed = [mix(t, c) for t in tensors]
             logits.grad = None
-            tn.backward(sum(((m * r).sum() for m, r in zip(mixed, readouts)), 0))
+            first, *rest = ((m * r).sum() for m, r in zip(mixed, readouts))
+            tn.backward(sum(rest, first))
             results.append([m.data.tobytes() for m in mixed] + [logits.grad.tobytes()])
         assert results[0] == results[1]
 
@@ -178,6 +179,13 @@ class TestInitMixingCoefficients:
         assert back.lam == coeffs.lam and back.n_experts == 4
         for l in range(2):
             assert np.allclose(back.alphas(l), coeffs.alphas(l), atol=1e-7)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), 1e308, 1e39])
+    def test_json_logit_not_finite_in_float32_rejected(self, value):
+        obj = init_mixing_coefficients(4, 2, lam=0.6).to_json_obj()
+        obj["logits"][1][2] = value
+        with pytest.raises(ValueError, match="logits of layer 1 are not finite"):
+            MixingCoefficients.from_json_obj(obj)
 
     @pytest.mark.parametrize("edit", [{"logits": None}, {"logits": [["x", 0.0, 0.0]]},
                                       {"n_experts": "4"}, {"shared_rate": True}])

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_smoke_corpus
 from xft import tensor as tn
-from oracles import concat_rows, generate_uncached, identity, per_expert_parameters, slice_rows
+from oracles import (concat_rows, generate_uncached, identity, per_expert_parameters, slice_rows,
+                     transpose)
 from xft.model import (
     FFNWeights,
     KVCache,
@@ -23,6 +25,7 @@ from xft.model import (
 from xft.merge import init_mixing_coefficients, merge_uniform, merge_xft
 from xft.moe import MoEConfig, upcycle_dense_to_moe
 from xft.tensor import Tensor
+from xft.train import ByteTokenizer, encode_examples
 
 
 def small_cfg(**overrides) -> ModelConfig:
@@ -160,8 +163,8 @@ def composed_attention(q, k, v, bounds, n_heads):
         out = None
         for h in range(n_heads):
             pick = Tensor(eye[:, h * d_head:(h + 1) * d_head].copy())
-            scores = ((qs @ pick) @ (ks @ pick).transpose()) * (1.0 / math.sqrt(d_head)) + mask
-            head = (tn.softmax(scores) @ (vs @ pick)) @ pick.transpose()
+            scores = ((qs @ pick) @ transpose(ks @ pick)) * (1.0 / math.sqrt(d_head)) + mask
+            head = (tn.softmax(scores) @ (vs @ pick)) @ transpose(pick)
             out = head if out is None else out + head
         segments.append(out)
     return concat_rows(segments)
@@ -320,6 +323,17 @@ class TestForwardLoss:
         model = build_dense_model(cfg, seed=1)
         logits, _ = model_forward_loss(model, [0, 1, 2], [0, 1, 1])
         assert logits.shape == (2, cfg.vocab_size)
+
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
+    def test_desk_training_step_builds_27_nodes(self, moe):
+        """The router and the loss head are one graph node each: at the desk
+        defaults, a dense and an MoE training step's graphs hold 27 nodes each."""
+        cfg = ModelConfig(vocab_size=ByteTokenizer.vocab_size)
+        model = build_dense_model(cfg, seed=0)
+        if moe:
+            model = upcycle_dense_to_moe(model, MoEConfig(), seed=1)
+        loss = model.batch_loss(encode_examples(make_smoke_corpus(8, seed=2), cfg.max_seq_len))
+        assert sum(1 for node in tn._topo_order(loss) if node._parents) == 27
 
 
 class TestForwardPurity:

@@ -11,7 +11,7 @@ from xft import tensor as tn
 from xft.model import ModelConfig, build_dense_model, model_forward_loss
 from conftest import stack_experts
 from oracles import (affinity_scores, bmul, expert_weights, moe_layer_composed, reshape,
-                     route_shared_normalized, route_standard, rsub)
+                     route_shared_normalized, route_standard, rsub, take_along_rows)
 from xft.moe import MoEConfig, MoELayer, SHARED_EXPERT, upcycle_dense_to_moe
 from xft.model import FFNWeights, ffn_forward
 from xft.checkpoint import load_checkpoint, save_checkpoint
@@ -217,8 +217,8 @@ def per_expert_forward(layer: MoELayer, u: Tensor) -> Tensor:
     scores = layer.normal_affinities(u)
     ranked = np.argsort(-scores.data, axis=1, kind="stable")
     sel = ranked[:, :r]
-    s_max = tn.take_along_rows(scores, ranked[:, :1])
-    normal_gates = bmul(tn.softmax(tn.take_along_rows(scores, sel)), s_max)
+    s_max = take_along_rows(scores, ranked[:, :1])
+    normal_gates = bmul(tn.softmax(take_along_rows(scores, sel)), s_max)
     h = u + bmul(ffn_forward(u, expert_weights(layer.weights, SHARED_EXPERT)), rsub(1.0, s_max))
     gates_flat = reshape(normal_gates, (t * r, 1))
     for e in range(1, layer.cfg.n_experts):

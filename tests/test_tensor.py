@@ -9,15 +9,21 @@ import pytest
 
 from oracles import (
     add_bias,
+    affinities_composed,
     bmul,
     ffn_composed,
     gelu_expressions,
     identity,
     layer_norm_mean,
     linear_composed,
+    log_softmax,
     moe_layer_composed,
+    neg,
+    nll_composed,
     reshape,
     rsub,
+    take_along_rows,
+    transpose,
 )
 from xft import tensor as tn
 
@@ -122,8 +128,8 @@ class TestBackward:
 
         def f():
             logits = tn.gelu(add_bias(x @ w1, b1)) @ w2
-            logp = tn.log_softmax(logits)
-            return -tn.take_along_rows(logp, targets[:, None]).sum() * (1.0 / len(targets))
+            logp = log_softmax(logits)
+            return neg(take_along_rows(logp, targets[:, None]).sum()) * (1.0 / len(targets))
 
         err = tn.finite_diff_check(f, [w1, b1, w2])
         assert err < 1e-3
@@ -141,7 +147,7 @@ class TestFiniteDiffCheck:
         targets = np.array([1, 6, 0])
 
         def f():
-            return -tn.take_along_rows(tn.log_softmax(z), targets[:, None]).sum() * (1.0 / len(targets))
+            return neg(take_along_rows(log_softmax(z), targets[:, None]).sum()) * (1.0 / len(targets))
 
         assert tn.finite_diff_check(f, [z]) < 1e-3
 
@@ -180,6 +186,7 @@ def expert_op(sel, fn=tn.expert_ffn, normalized=True):
 EXPERT_SEL = np.array([[0, 2], [1, 2], [2, 0], [0, 1], [2, 1]])
 EXPERT_SHAPES = [(5, 4), (5, 3), (4, 4, 3), (4, 3), (4, 3, 4), (4, 4)]
 MIX_SHAPES = [(4, 3, 5), (4,)]
+AFFINITY_SHAPES = [(5, 4), (4, 4)]  # 5 rows, 4 centroids: the shared one and 3 normal
 
 
 # (name, op over param tensors, param shapes); op output is read out through
@@ -197,11 +204,11 @@ OP_CASES = [
     ("expert_ffn.unnormalized", expert_op(EXPERT_SEL, normalized=False), EXPERT_SHAPES),
     ("mix", tn.mix, MIX_SHAPES),
     ("concat", lambda a, b: tn.concat([a, b]), [(2, 3), (4, 3)]),
-    ("transpose", lambda a: a.transpose(), [(3, 5)]),
+    ("transpose", transpose, [(3, 5)]),
     ("reshape", lambda a: reshape(a, (8, 3)), [(4, 6)]),
     ("gather_rows", lambda a: tn.gather_rows(a, [0, 2, 2, 5]), [(6, 3)]),
     ("take_along_rows",
-     lambda a: tn.take_along_rows(a, np.array([[0, 3], [1, 1], [4, 0], [2, 3]])),
+     lambda a: take_along_rows(a, np.array([[0, 3], [1, 1], [4, 0], [2, 3]])),
      [(4, 5)]),
     ("causal_attention",
      lambda q, k, v: tn.causal_attention(q, k, v, [0, 2, 5, 6], n_heads=2),
@@ -213,7 +220,9 @@ OP_CASES = [
      lambda q, k, v: tn.causal_attention(q, k, v, [0, tn.ATTENTION_TILE + 6], n_heads=2),
      [(tn.ATTENTION_TILE + 6, 4)] * 3),
     ("softmax", tn.softmax, [(3, 6)]),
-    ("log_softmax", tn.log_softmax, [(3, 6)]),
+    ("affinities", tn.affinities, AFFINITY_SHAPES),
+    ("log_softmax", log_softmax, [(3, 6)]),
+    ("nll", lambda a: tn.nll(a, [0, 5, 3]), [(3, 6)]),
     ("gelu", tn.gelu, [(4, 4)]),
     ("identity", identity, [(4, 4)]),
     ("layer_norm", tn.layer_norm, [(4, 6), (6,), (6,)]),
@@ -253,6 +262,8 @@ FROZEN_CASES = [
     ("expert_ffn.frozen_scores", expert_op(EXPERT_SEL), EXPERT_SHAPES, 1),
     ("expert_ffn.frozen_up_weight", expert_op(EXPERT_SEL), EXPERT_SHAPES, 2),
     ("expert_ffn.frozen_down_bias", expert_op(EXPERT_SEL), EXPERT_SHAPES, 5),
+    ("affinities.frozen_input", tn.affinities, AFFINITY_SHAPES, 0),
+    ("affinities.frozen_centroids", tn.affinities, AFFINITY_SHAPES, 1),
     ("mix.frozen_stacked", tn.mix, MIX_SHAPES, 0),
     ("mix.frozen_coefficients", tn.mix, MIX_SHAPES, 1),
 ]
@@ -359,6 +370,47 @@ class TestFusedDense:
         grads = out._backward_fn(np.ones_like(out.data))
         assert grads[:3] == (None, None, None) and calls == []
         assert [g.shape for g in grads[3:]] == FFN_SHAPES[3:]
+
+
+class TestRouterAndLossNodes:
+    """``affinities`` and ``nll`` are one node each, bit for bit the composed ops."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_affinities_match_composed_ops(self, rows, dtype):
+        shapes = [(rows, 16), (8, 16)]
+        fused = forward_and_grads(tn.affinities, shapes, rows, dtype)
+        assert all(g is not None and g.dtype == dtype for g in fused)
+        assert_bit_identical(fused, forward_and_grads(affinities_composed, shapes, rows, dtype))
+        g_centroids = fused[2]
+        assert g_centroids[1:].all() and not g_centroids[0].any()
+        assert not np.signbit(g_centroids[0]).any()  # the shared row is +0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_nll_matches_composed_ops(self, rows, dtype):
+        targets = np.random.default_rng(rows).integers(0, 11, size=rows)
+        fused = forward_and_grads(lambda z: tn.nll(z, targets), [(rows, 11)], rows, dtype)
+        assert fused[0].shape == (rows, 1) and (fused[0] > 0).all()
+        assert all(g.dtype == dtype for g in fused)
+        assert_bit_identical(fused, forward_and_grads(lambda z: nll_composed(z, targets),
+                                                      [(rows, 11)], rows, dtype))
+
+    def test_non_finite_inputs_rejected(self):
+        u, centroids, logits = (t(np.ones(s)) for s in ((2, 3), (4, 3), (2, 5)))
+        u.data[1, 2] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="softmax input contains non-finite"):
+            tn.affinities(u, centroids)
+        logits.data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="log_softmax input contains non-finite"):
+            tn.nll(logits, [0, 1])
+
+    def test_inconsistent_operands_rejected(self):
+        with pytest.raises(ValueError, match="affinities shape mismatch"):
+            tn.affinities(t(np.ones((2, 3))), t(np.ones((4, 5))))
+        with pytest.raises(ValueError, match="nll shape mismatch"):
+            tn.nll(t(np.ones((2, 5))), [0, 1, 2])
 
 
 def routed(rows, n_normal=7, k=5, seed=0):
