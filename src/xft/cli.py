@@ -285,12 +285,15 @@ def cmd_merge(args) -> int:
     if args.mode == "uniform":
         dense, mode, detail = merge_uniform(model), "uniform", "uniform"
     else:
-        if args.coeffs:
-            with open(args.coeffs, "r", encoding="utf-8") as f:
-                coeffs = MixingCoefficients.from_json_obj(json.load(f))
-        else:
-            coeffs = init_mixing_coefficients(model.moe_cfg.n_experts, len(model.blocks), lam)
-        dense = merge_xft(model, coeffs)
+        try:
+            if args.coeffs:
+                with open(args.coeffs, "r", encoding="utf-8") as f:
+                    coeffs = MixingCoefficients.from_json_obj(json.load(f))
+            else:
+                coeffs = init_mixing_coefficients(model.moe_cfg.n_experts, len(model.blocks), lam)
+            dense = merge_xft(model, coeffs)
+        except ValueError as e:  # a coefficient file's faults name the file
+            raise ValueError(f"{args.coeffs!r}: {e}" if args.coeffs else str(e)) from e
         mode = "soup" if coeffs.unconstrained else "xft"  # the coefficients know their kind
         note = "learned" if args.coeffs else "initialized"
         detail = f"{mode} ({note} coefficients)"

@@ -113,7 +113,7 @@ def _segment_bounds(bounds, n: int) -> np.ndarray:
 
 
 def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
-                      cache=None) -> Tensor:
+                      cache=None, rows=None) -> Tensor:
     """Pre-norm multi-head causal self-attention, residual included.
 
     ``u`` holds packed segments split at ``bounds`` (one segment when None),
@@ -126,10 +126,12 @@ def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
     positions 0 ... past + n - 1, where the n rows of ``u`` are the last n
     positions of one sequence. Their keys and values are written into the
     last n rows in place, and the queries attend to all of them.
+
+    ``rows`` (1-d indices into the rows of ``u``) returns those rows only: keys
+    and values run on every row, but queries, attention, ``wo`` and the
+    residual only on each segment's suffix from its first requested row.
     """
-    if bounds is None:
-        bounds = (0, u.shape[0])
-    past = 0
+    bounds = np.array([0, u.shape[0]]) if bounds is None else np.asarray(bounds, dtype=np.intp)
     if cache is not None:  # one sequence's rows, which carry no graph
         if tn.grad_enabled():
             raise ValueError("a key/value cache is for inference: use it under tn.no_grad()")
@@ -137,15 +139,26 @@ def attention_forward(u: Tensor, block: Block, cfg: ModelConfig, bounds=None,
             raise ValueError(f"a key/value cache takes one segment, got {len(bounds) - 1}")
         past = cache[0].shape[0] - u.shape[0]
     x = tn.layer_norm(u, block.ln1.gain, block.ln1.bias)
-    q = tn.linear(x, block.attn.wq, block.attn.bq)
     k = tn.linear(x, block.attn.wk, block.attn.bk)
     v = tn.linear(x, block.attn.wv, block.attn.bv)
+    query_bounds = bounds
+    if rows is not None:  # a segment's queries start at its first requested row
+        starts = bounds[1:].copy()
+        np.minimum.at(starts, np.searchsorted(bounds, rows, side="right") - 1, rows)
+        query_bounds = np.concatenate(([0], np.cumsum(bounds[1:] - starts)))
+        suffix = np.flatnonzero(np.arange(u.shape[0]) >= np.repeat(starts, np.diff(bounds)))
+        u = tn.gather_rows(u, suffix)
+        x = tn.layer_norm(u, block.ln1.gain, block.ln1.bias)
+    q = tn.linear(x, block.attn.wq, block.attn.bq)
     if cache is not None:
         keys, values = cache
         keys[past:], values[past:] = k.data, v.data
-        k, v = Tensor(keys), Tensor(values)
-    heads = tn.causal_attention(q, k, v, bounds, cfg.n_heads)
-    return u + tn.linear(heads, block.attn.wo, block.attn.bo)
+        k, v, bounds = Tensor(keys), Tensor(values), (0, keys.shape[0])
+    heads = tn.causal_attention(q, k, v, bounds, cfg.n_heads, query_bounds)
+    out = u + tn.linear(heads, block.attn.wo, block.attn.bo)
+    if rows is None or np.array_equal(rows, suffix):
+        return out
+    return tn.gather_rows(out, np.searchsorted(suffix, rows))
 
 
 class KVCache:
@@ -242,9 +255,10 @@ class Transformer:
         new rows are computed and routed, their keys and values are appended
         to the cache, and they attend to the cached ones.
 
-        ``rows`` (1-d indices into the T rows) keeps only those rows after the
-        last block's attention, so the last slot runs and routes them alone and
-        the result is [len(rows), d_model]: no row feeds another after that."""
+        ``rows`` (1-d indices into the T rows) keeps only those rows in the last
+        block: its keys and values run on every row, its queries, attention and
+        ``wo`` on each segment's rows from its first requested one, and its slot
+        runs and routes ``rows`` alone. The result is [len(rows), d_model]."""
         past = 0 if cache is None else cache.length
         idx, positions, bounds = self._check_tokens(tokens, bounds, past)
         if rows is not None:
@@ -256,9 +270,8 @@ class Transformer:
         for i, block in enumerate(self.blocks):
             kv = None if cache is None else (cache.keys[i, :past + idx.size],
                                              cache.values[i, :past + idx.size])
-            u = attention_forward(x, block, self.cfg, bounds, kv)
-            if rows is not None and i == len(self.blocks) - 1:
-                u = tn.gather_rows(u, rows)
+            u = attention_forward(x, block, self.cfg, bounds, kv,
+                                  rows if i == len(self.blocks) - 1 else None)
             if isinstance(block.slot, FFNWeights):
                 x = u + ffn_forward(u, block.slot)
                 routing.append(None)

@@ -462,55 +462,54 @@ _TILE_MASK = causal_mask(ATTENTION_TILE)  # a tile of r rows adds its [:r, :r] c
 
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
-    """[t, H * dh] -> [H, t, dh]."""
-    return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
+    """[t, H * dh] -> [H, t, dh], a view when ``a`` is contiguous."""
+    return a.reshape(a.shape[0], n_heads, a.shape[1] // n_heads).transpose(1, 0, 2)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """[H, t, dh] -> [t, H * dh]."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int,
+                     query_bounds=None) -> Tensor:
     """Multi-head causal softmax attention over packed segments.
 
-    q, k and v are [N, d] with the heads side by side along the columns;
-    ``bounds`` holds the segment offsets 0 = b_0 < b_1 < ... < b_S = N. Row i
-    of segment s attends to the rows of s at or before i, never to another
-    segment: per head, softmax(q k^T / sqrt(d_head) + causal_mask) v. The
-    masked weights are exactly 0, so outputs are bit-identical under any
-    change to later positions or other segments. The result is [N, d], heads
-    side by side. Each segment runs in tiles of ``ATTENTION_TILE`` query rows:
-    a tile scores only the keys at or before its last row and masks only its
-    diagonal block, so cost is per tile and the masked half of a segment's
-    score square is never computed.
-
-    With a single segment, k and v may hold ``past`` more rows than q: they
-    are then the keys and values of positions 0 ... past + N - 1, q holds the
-    queries of the last N positions, and query row i attends to key rows
-    0 ... past + i. ``past`` = 0 is the square case above.
+    k and v are [N, d] with the heads side by side along the columns;
+    ``bounds`` holds their segment offsets 0 = b_0 < b_1 < ... < b_S = N. q
+    packs a query suffix per segment at ``query_bounds`` 0 = c_0 <= ... <= c_S
+    (``bounds`` when None, the square case): segment s's c_{s+1} - c_s queries,
+    none up to all of its rows, are its last positions. A query attends to the
+    keys of its segment at or before its position, never to another segment:
+    per head, softmax(q k^T / sqrt(d_head) + causal_mask) v. The masked
+    weights are exactly 0, so outputs are bit-identical under any change to
+    later positions or other segments. The result has q's shape, heads side by
+    side. A segment's queries run in tiles of ``ATTENTION_TILE`` rows: a tile
+    scores only the keys at or before its last row and masks only its diagonal
+    block, so cost is per tile and the masked part of a segment's scores is
+    never computed. A key/value cache step is one segment whose queries are
+    its newest positions.
     """
     bounds = np.asarray(bounds, dtype=np.intp).tolist()
-    past = k.shape[0] - q.shape[0]
+    qb = bounds if query_bounds is None else np.asarray(query_bounds, dtype=np.intp).tolist()
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]
-            or q.shape[1] % n_heads or past < 0 or (past and len(bounds) != 2)):
+            or q.shape[1] % n_heads):
         raise ValueError(f"causal_attention shape mismatch: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}, {n_heads} heads, {len(bounds) - 1} segments")
-    if (len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != q.shape[0]
+                         f"v {v.shape}, {n_heads} heads")
+    if (len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != k.shape[0]
             or any(hi <= lo for lo, hi in zip(bounds, bounds[1:]))):
-        raise ValueError(f"segment bounds must rise from 0 to {q.shape[0]}, got {bounds}")
+        raise ValueError(f"segment bounds must rise from 0 to {k.shape[0]}, got {bounds}")
+    segments = list(zip(bounds, bounds[1:], qb, qb[1:]))
+    if len(qb) != len(bounds) or qb[0] != 0 or qb[-1] != q.shape[0] or any(
+            not 0 <= q1 - q0 <= hi - lo for lo, hi, q0, q1 in segments):
+        raise ValueError(f"query bounds must rise from 0 to {q.shape[0]}, by at most "
+                         f"each segment's length, got {qb} for segments {bounds}")
     scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
     recording = _GRAD_ENABLED and (q.requires_grad or k.requires_grad or v.requires_grad)
-    segments = []  # if recording: (lo, hi, q, k, v, [(r0, r1, weights) per tile]) per segment
-    out = np.empty_like(q.data)
-    for lo, hi in zip(bounds, bounds[1:]):
-        qh = _split_heads(q.data[lo:hi], n_heads)
-        kh, vh = (_split_heads(x.data[lo:hi + past], n_heads) for x in (k, v))
-        if recording:
-            segments.append((lo, hi, qh, kh, vh, []))
-        for r0 in range(0, hi - lo, ATTENTION_TILE):
-            r1 = min(r0 + ATTENTION_TILE, hi - lo)
-            w = qh[:, r0:r1] @ kh[:, :past + r1].transpose(0, 2, 1)
+    tiles = []  # if recording: (lo, hi, query rows, keys, weights) per tile, in order
+    out = np.empty(q.shape, q.dtype)  # C order: its head view below takes the writes
+    qh, kh, vh, oh = (_split_heads(x, n_heads) for x in (q.data, k.data, v.data, out))
+    for lo, hi, q0, q1 in segments:
+        past = hi - lo - (q1 - q0)  # the segment's positions before its first query
+        for r0 in range(0, q1 - q0, ATTENTION_TILE):
+            r1 = min(r0 + ATTENTION_TILE, q1 - q0)
+            keys, rows = lo + past + r1, slice(q0 + r0, q0 + r1)
+            w = qh[:, rows] @ kh[:, lo:keys].transpose(0, 2, 1)
             w *= scale
             w[:, :, past + r0:] += _TILE_MASK[:r1 - r0, :r1 - r0]
             if not np.isfinite(w).all():
@@ -518,30 +517,28 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bounds, n_heads: int) -> T
             w -= np.maximum.reduce(w, axis=-1, keepdims=True)
             np.exp(w, out=w)
             w /= np.add.reduce(w, axis=-1, keepdims=True)
-            out[lo + r0:lo + r1] = _merge_heads(w @ vh[:, :past + r1])
+            oh[:, rows] = w @ vh[:, lo:keys]
             if recording:
-                segments[-1][5].append((r0, r1, w))
+                tiles.append((lo, hi, rows, keys, w))
     if not recording:
         return Tensor(out)
 
     def bw(g):
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for lo, hi, qh, kh, vh, tiles in segments:
-            gh = _split_heads(g[lo:hi], n_heads)
-            for r0, r1, w in reversed(tiles):  # the last tile sees every key: it starts the sums
-                keys = past + r1
-                gw = gh[:, r0:r1] @ vh[:, :keys].transpose(0, 2, 1)
-                gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
-                gq[lo + r0:lo + r1] = _merge_heads(gs @ kh[:, :keys])
-                dk = gs.transpose(0, 2, 1) @ qh[:, r0:r1]
-                dv = w.transpose(0, 2, 1) @ gh[:, r0:r1]
-                if r1 == hi - lo:
-                    gkh, gvh = dk, dv
-                else:
-                    gkh[:, :keys] += dk
-                    gvh[:, :keys] += dv
-            gk[lo:hi + past] = _merge_heads(gkh)
-            gv[lo:hi + past] = _merge_heads(gvh)
+        gq, gk, gv = (np.zeros(x.shape, x.dtype) for x in (q, k, v))  # C order, as ``out``
+        gh, gqh, gkh, gvh = (_split_heads(x, n_heads) for x in (g, gq, gk, gv))
+        # a segment's last tile sees all of its keys: it starts their sums, and a
+        # segment without queries keeps zero key and value gradients
+        for lo, hi, rows, keys, w in reversed(tiles):
+            gw = gh[:, rows] @ vh[:, lo:keys].transpose(0, 2, 1)
+            gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
+            gqh[:, rows] = gs @ kh[:, lo:keys]
+            dk = gs.transpose(0, 2, 1) @ qh[:, rows]
+            dv = w.transpose(0, 2, 1) @ gh[:, rows]
+            if keys == hi:
+                gkh[:, lo:hi], gvh[:, lo:hi] = dk, dv
+            else:
+                gkh[:, lo:keys] += dk
+                gvh[:, lo:keys] += dv
         return gq, gk, gv
 
     return _make(out, (q, k, v), bw)

@@ -8,6 +8,11 @@ from xft.tensor import Tensor
 from xft.train import InstructionExample
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: unlike ``np.array_equal``, -0.0 is not +0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def make_smoke_corpus(n: int, seed: int) -> list[InstructionExample]:
     """Synthetic instruction pairs with byte-level regularities to learn."""
     rng = np.random.default_rng(seed)

@@ -329,6 +329,23 @@ class TestCoefficientFiles:
         assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
         assert "logits of layer 1 are not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan-logit", "coefficient logits of layer 1 are not finite in float32"),
+        ("wrong-types", "coefficient fields have the wrong types"),
+        ("expert-count", "coefficient expert count does not match the model"),
+    ], ids=["nan-logit", "wrong-types", "expert-count"])
+    def test_error_names_the_coefficient_file(self, workspace, capsys, fault, message):
+        obj = coeffs_obj()
+        if fault == "nan-logit":
+            obj["logits"][1][0] = float("nan")
+        elif fault == "wrong-types":
+            obj["n_experts"] = "4"
+        else:
+            obj = init_mixing_coefficients(8, 2, 0.75).to_json_obj()
+        assert merge_with_coeffs(workspace, "xft", obj) == EXIT_IO
+        path = str(workspace[0] / "c.json")
+        assert f"error: {path!r}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("soup, mode", [(False, "xft"), (True, "soup")])
     def test_coeffs_file_sets_the_recorded_mode(self, workspace, soup, mode):
         tmp_path, dense, _ = workspace

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_smoke_corpus
+from conftest import make_smoke_corpus, same_bits
 from xft import tensor as tn
 from oracles import (concat_rows, generate_uncached, identity, per_expert_parameters, slice_rows,
                      transpose)
@@ -208,7 +208,7 @@ class TestFusedAttention:
         with tn.no_grad():
             out = tn.causal_attention(q, k, v, self.TILED_BOUNDS, n_heads=2)
         assert tracked._parents and not out._parents and not out.requires_grad
-        assert out.dtype == dtype and np.array_equal(out.data, tracked.data)
+        assert same_bits(out.data, tracked.data)
 
     def test_gradients_match_composed_ops(self):
         self.check_gradients(self.BOUNDS)
@@ -232,12 +232,29 @@ class TestFusedAttention:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             tn.causal_attention(*qkv, [0, 150], n_heads=2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("operand", [0, 1], ids=["q", "k"])
+    def test_non_finite_operand_rejected(self, operand, value):
+        qkv = self.qkv(np.float32)
+        qkv[operand].data[3, 0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            tn.causal_attention(*qkv, self.BOUNDS, n_heads=2)
+
+    def test_lone_negative_infinite_score_rejected(self):
+        """Rows 3 and 4 score key 3 at -inf among finite scores: exp gives it a
+        weight of 0 and leaves their softmax sums finite, yet they raise."""
+        q, k, v = self.qkv(np.float32)
+        q.data[:, 0] = np.abs(q.data[:, 0]) + 0.5
+        k.data[3, 0] = -np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            tn.causal_attention(q, k, v, self.BOUNDS, n_heads=2)
+
     def check_key_offset(self, total, query_counts):
         """The last n queries over all keys give the last n rows of the square."""
         q, k, v = self.qkv(np.float32, n=total)
         square = tn.causal_attention(q, k, v, [0, total], n_heads=2).data
         for n in query_counts:
-            rows = tn.causal_attention(Tensor(q.data[-n:]), k, v, [0, n], n_heads=2).data
+            rows = tn.causal_attention(Tensor(q.data[-n:]), k, v, [0, total], 2, [0, n]).data
             assert np.abs(rows - square[-n:]).max() <= 1e-6
 
     def test_key_offset_matches_last_rows_of_square(self):
@@ -254,7 +271,8 @@ class TestFusedAttention:
         q = Tensor(rng.normal(size=(n, past + n)).astype(np.float32))
         k = Tensor(rng.normal(size=(past + n, past + n)).astype(np.float32))
         # one head with identity values: the output rows are the weights
-        w = tn.causal_attention(q, k, Tensor(np.eye(past + n, dtype=np.float32)), [0, n], 1).data
+        w = tn.causal_attention(q, k, Tensor(np.eye(past + n, dtype=np.float32)),
+                                [0, past + n], 1, [0, n]).data
         return w, np.triu(np.ones((n, past + n), dtype=bool), k=past + 1)
 
     def test_weights_above_offset_diagonal_are_zero(self):
@@ -268,10 +286,46 @@ class TestFusedAttention:
         w, above = self.offset_weights(70, 80)
         assert (w[above] == 0.0).all() and (w[~above] > 0.0).all()
 
-    def test_key_offset_needs_one_segment(self):
-        q, k, v = self.qkv(np.float32)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            tn.causal_attention(Tensor(q.data[-4:]), k, v, [0, 2, 4], n_heads=2)
+    # TILED_BOUNDS' segments of 150, 64, 1 and 130 rows, queried from row 20
+    # (mid-tile, over a tile of queries), not at all, fully, and from row 70
+    QUERY_BOUNDS = [0, 130, 130, 131, 191]
+
+    def suffix_rows(self):
+        """Rows of the square that the query suffixes at QUERY_BOUNDS stand for."""
+        ends, counts = self.TILED_BOUNDS[1:], np.diff(self.QUERY_BOUNDS)
+        return np.concatenate([np.arange(hi - c, hi) for hi, c in zip(ends, counts)])
+
+    def test_query_suffixes_match_rows_of_square(self):
+        q, k, v = self.qkv(np.float32, n=self.TILED_BOUNDS[-1])
+        square = tn.causal_attention(q, k, v, self.TILED_BOUNDS, n_heads=2).data
+        rows = self.suffix_rows()
+        out = tn.causal_attention(Tensor(q.data[rows]), k, v, self.TILED_BOUNDS, 2,
+                                  self.QUERY_BOUNDS).data
+        assert np.abs(out - square[rows]).max() <= 1e-6
+
+    def test_query_suffix_gradients_match_composed_ops(self):
+        """float64: a segment without queries gets zero key and value gradients."""
+        q, k, v = self.qkv(np.float64, seed=1, n=self.TILED_BOUNDS[-1])
+        rows = self.suffix_rows()
+        readout = np.random.default_rng(2).normal(size=(rows.size, 8))
+        q_rows = Tensor(q.data[rows], requires_grad=True)
+        tn.backward((tn.causal_attention(q_rows, k, v, self.TILED_BOUNDS, 2, self.QUERY_BOUNDS)
+                     * Tensor(readout)).sum())
+        fused = [q_rows.grad, k.grad.copy(), v.grad.copy()]
+        k.grad = v.grad = None
+        every = np.zeros((self.TILED_BOUNDS[-1], 8))
+        every[rows] = readout
+        tn.backward((composed_attention(q, k, v, self.TILED_BOUNDS, 2) * Tensor(every)).sum())
+        for got, ref in zip(fused, [q.grad[rows], k.grad, v.grad]):
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
+        assert not fused[1][150:214].any() and not fused[2][150:214].any()
+
+    @pytest.mark.parametrize("query_bounds", [[0, 0, 3, 4], [0, 3, 4], [0, 3, 2, 4], [0, 1, 3, 5]],
+                             ids=["more-queries-than-rows", "wrong-count", "falling", "not-to-q"])
+    def test_bad_query_bounds_rejected(self, query_bounds):
+        q, k, v = self.qkv(np.float32)  # segments of 5, 2 and 8 rows
+        with pytest.raises(ValueError, match="query bounds must rise from 0 to 4"):
+            tn.causal_attention(Tensor(q.data[:4]), k, v, self.BOUNDS, 2, query_bounds)
 
 
 class _StubModel:
@@ -325,15 +379,16 @@ class TestForwardLoss:
         assert logits.shape == (2, cfg.vocab_size)
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
-    def test_desk_training_step_builds_27_nodes(self, moe):
-        """The router and the loss head are one graph node each: at the desk
-        defaults, a dense and an MoE training step's graphs hold 27 nodes each."""
+    def test_desk_training_step_builds_28_nodes(self, moe):
+        """The router and the loss head are one graph node each, and the last
+        block layer-normalises its query rows apart: at the desk defaults, a
+        dense and an MoE training step's graphs hold 28 nodes each."""
         cfg = ModelConfig(vocab_size=ByteTokenizer.vocab_size)
         model = build_dense_model(cfg, seed=0)
         if moe:
             model = upcycle_dense_to_moe(model, MoEConfig(), seed=1)
         loss = model.batch_loss(encode_examples(make_smoke_corpus(8, seed=2), cfg.max_seq_len))
-        assert sum(1 for node in tn._topo_order(loss) if node._parents) == 27
+        assert sum(1 for node in tn._topo_order(loss) if node._parents) == 28
 
 
 class TestForwardPurity:

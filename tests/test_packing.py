@@ -6,7 +6,8 @@ import pytest
 from oracles import forward_loss_all_rows
 from xft import tensor as tn
 from xft.merge import _MergedTrainable, init_mixing_coefficients
-from xft.model import ModelConfig, build_dense_model, model_forward_loss, pack_batch, pack_sequences
+from xft.model import (KVCache, ModelConfig, build_dense_model, model_forward_loss, pack_batch,
+                       pack_sequences)
 from xft.moe import MoEConfig, upcycle_dense_to_moe
 
 CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=12)
@@ -191,6 +192,78 @@ class TestScoredRowsMatchAllRows:
             kept = model.logits(tokens, bounds, rows=rows).data
             every = model.logits(tokens, bounds).data
         assert np.abs(kept - every[rows]).max() <= logits_atol
+
+    # (config, segment lengths in tokens, each segment's scored targets)
+    SEGMENT_CASES = {
+        "not-a-suffix": (CFG, (7, 5, 12), ([1, 3, 4], [2, 4], [5, 6, 9, 11])),
+        "one-scored-row": (CFG, (7, 2, 12), ([3], [1], [11])),
+        # a 150-row segment scored from row 20: a suffix of over a tile, from mid-tile
+        "long-suffix-mid-tile": (LONG_CFG, (151, 9), (range(21, 151), [8])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SEGMENT_CASES))
+    @pytest.mark.parametrize("kind", ["dense", "moe"])
+    def test_segment_shapes_in_float64(self, kind, case):
+        cfg, lengths, scored = self.SEGMENT_CASES[case]
+        model = (build_dense_model(cfg, seed=3) if kind == "dense"
+                 else distinct_moe(seed=4, cfg=cfg)).copy(dtype=np.float64)
+        batch = [(tokens, np.isin(np.arange(len(tokens)), list(targets)).astype(int).tolist())
+                 for (tokens, _), targets in zip(random_batch(lengths, seed=18), scored)]
+        loss, grads = forward_loss_grads(model_forward_loss, model, batch, False)
+        ref, ref_grads = forward_loss_grads(forward_loss_all_rows, model, batch, False)
+        assert loss == pytest.approx(ref, rel=1e-10)
+        assert sorted(grads) == sorted(ref_grads)
+        scale = max(float(np.abs(g).max()) for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert np.abs(grads[name] - g).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("kind", sorted(SCORED_MODELS))
+    def test_rows_that_skip_a_segment(self, kind):
+        """A segment without a requested row runs no query, and its keys get
+        only the gradients of the rows that do attend to them: none."""
+        model = SCORED_MODELS[kind]().copy(dtype=np.float64)
+        tokens, bounds = pack_sequences([[3, 1, 4, 1, 5], [9, 2, 6], [5, 3, 5, 8, 9, 7]])
+        rows = np.array([4, 1, 13, 9, 13])  # none in segment 1, unsorted, repeated, not suffixes
+        readout = tn.Tensor(np.random.default_rng(19).normal(size=(rows.size, CFG.vocab_size)))
+        grads = []
+        for logits in (lambda: model.logits(tokens, bounds, rows=rows),
+                       lambda: tn.gather_rows(model.logits(tokens, bounds), rows)):
+            params = model.named_parameters()
+            for p in params.values():
+                p.grad = None
+            tn.backward((logits() * readout).sum())
+            grads.append({n: p.grad.copy() for n, p in params.items() if p.grad is not None})
+        assert sorted(grads[0]) == sorted(grads[1])
+        scale = max(float(np.abs(g).max()) for g in grads[1].values())
+        for name, g in grads[1].items():
+            assert np.abs(grads[0][name] - g).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["scored-rows", "decode-prompt"])
+    def test_last_attention_queries_only_the_suffix(self, cached, monkeypatch):
+        """The last block's Q product, attention queries and ``wo`` product see
+        only each segment's rows from its first requested one; K and V see all.
+        A decode prompt pass asks for its newest row: one query row."""
+        model = build_dense_model(CFG, seed=20)
+        tokens, mask, bounds = pack_batch(random_batch(LENGTHS, seed=21))
+        rows = np.flatnonzero(mask)
+        if cached:
+            tokens, bounds, rows = tokens[:7], np.array([0, 7]), np.array([6])
+        seen, linear, attend = [], tn.linear, tn.causal_attention
+        monkeypatch.setattr(tn, "linear",
+                            lambda x, w, b: seen.append((w, x.shape[0])) or linear(x, w, b))
+        monkeypatch.setattr(tn, "causal_attention",
+                            lambda q, *a: seen.append(("queries", q.shape[0])) or attend(q, *a))
+        with tn.no_grad():
+            model.logits(tokens, bounds, KVCache(model) if cached else None, rows)
+        last = model.blocks[-1].attn
+        rows_of = {key: [n for w, n in seen if w is key] for key in
+                   (last.wq, last.wk, last.wv, last.wo)}
+        first = [rows[(lo <= rows) & (rows < hi)].min() for lo, hi in zip(bounds, bounds[1:])]
+        suffix = int((bounds[1:] - first).sum())
+        assert (suffix == 1) if cached else (rows.size < suffix < tokens.size)
+        assert rows_of[last.wk] == rows_of[last.wv] == [tokens.size]
+        assert rows_of[last.wq] == rows_of[last.wo] == [suffix]
+        assert [n for w, n in seen if w == "queries"][-1] == suffix
 
     def test_only_the_last_layer_routes_the_kept_rows(self):
         model = moe_trainable()

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from oracles import (
     add_bias,
     affinities_composed,
@@ -214,8 +215,12 @@ OP_CASES = [
      lambda q, k, v: tn.causal_attention(q, k, v, [0, 2, 5, 6], n_heads=2),
      [(6, 4), (6, 4), (6, 4)]),
     ("causal_attention.key_offset",
-     lambda q, k, v: tn.causal_attention(q, k, v, [0, 2], n_heads=2),
+     lambda q, k, v: tn.causal_attention(q, k, v, [0, 5], n_heads=2, query_bounds=[0, 2]),
      [(2, 4), (5, 4), (5, 4)]),
+    # segments of 3, 1, 5 and 2 rows queried by their last 2, none, 4 and 2
+    ("causal_attention.query_suffixes",
+     lambda q, k, v: tn.causal_attention(q, k, v, [0, 3, 4, 9, 11], 2, [0, 2, 2, 6, 8]),
+     [(8, 4), (11, 4), (11, 4)]),
     ("causal_attention.tiles",
      lambda q, k, v: tn.causal_attention(q, k, v, [0, tn.ATTENTION_TILE + 6], n_heads=2),
      [(tn.ATTENTION_TILE + 6, 4)] * 3),
@@ -299,8 +304,7 @@ def forward_and_grads(op, shapes, seed, dtype=np.float32):
 def assert_bit_identical(fused, composed):
     assert len(fused) == len(composed)
     for f, c in zip(fused, composed):
-        assert (f is None and c is None) or (
-            f is not None and c is not None and f.dtype == c.dtype and np.array_equal(f, c))
+        assert (f is None and c is None) or (f is not None and c is not None and same_bits(f, c))
 
 
 def counting_gelu(calls):
@@ -348,7 +352,7 @@ class TestFusedDense:
             outs = ffn_gelu(*operands), tn.linear(*operands[:3])
         for out in outs:
             assert not out.requires_grad and out._parents == ()
-        assert np.array_equal(outs[0].data, tracked.data)
+        assert same_bits(outs[0].data, tracked.data)
         assert tn.grad_enabled()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -358,8 +362,8 @@ class TestFusedDense:
         g = rng.normal(size=x.shape).astype(dtype)
         y, dy = gelu_expressions(x)
         out = tn.gelu(tn.Tensor(x, requires_grad=True))
-        assert np.array_equal(out.data, y)
-        assert np.array_equal(out._backward_fn(g)[0], g * dy)
+        assert same_bits(out.data, y)
+        assert same_bits(out._backward_fn(g)[0], g * dy)
 
     def test_frozen_up_branch_skips_the_activation_backward(self):
         rng = np.random.default_rng(2)
@@ -463,9 +467,9 @@ class TestExpertFFN:
             with tn.no_grad():
                 out, gates = tn.expert_ffn(u, scores, sel, *weights, normalized)
             assert not out.requires_grad and out._parents == () and out.dtype == dtype
-            assert np.array_equal(out.data, tracked.data)
-            assert np.array_equal(out.data, composed.data)
-            assert np.array_equal(gates, tracked_gates) and np.array_equal(gates, composed_gates)
+            assert same_bits(out.data, tracked.data)
+            assert same_bits(out.data, composed.data)
+            assert same_bits(gates, tracked_gates) and same_bits(gates, composed_gates)
             assert gates.shape == (rows, 6)
 
     @pytest.mark.parametrize("grad", [True, False], ids=["recording", "no_grad"])
@@ -501,8 +505,8 @@ class TestExpertFFN:
             assert out._parents == () and out.dtype == dtype and gates.shape == (1, 1 + r)
             for h, h_gates in (tn.expert_ffn(u, scores, sel, *weights, normalized),
                                moe_layer_composed(u, scores, sel, *weights, normalized)):
-                assert h.requires_grad and np.array_equal(out.data, h.data)
-                assert np.array_equal(gates, h_gates)
+                assert h.requires_grad and same_bits(out.data, h.data)
+                assert same_bits(gates, h_gates)
 
     @pytest.mark.parametrize("score_shape,sel,match", [
         ((5, 2), np.zeros((5, 2), dtype=int), "shape mismatch"),  # 3 normal experts
@@ -533,7 +537,7 @@ class TestLayerNorm:
                 x, gain, bias = (rng.normal(size=s).astype(dtype) * scale
                                  for s in ((rows, 48), (48,), (48,)))
                 out = tn.layer_norm(tn.Tensor(x), tn.Tensor(gain), tn.Tensor(bias)).data
-                assert out.dtype == dtype and np.array_equal(out, layer_norm_mean(x, gain, bias))
+                assert out.dtype == dtype and same_bits(out, layer_norm_mean(x, gain, bias))
 
 
 class TestNoGrad:
